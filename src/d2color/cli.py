@@ -8,10 +8,13 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections.abc import Callable
+from types import ModuleType
+from typing import NamedTuple
 
 from . import proto_arbitrary, proto_tree_par, proto_tree_seq
 from .engine import ClashDetected, ProtocolViolation
-from .scenarios import TABLE1_NEXT_SCHEDULE, builtin_topology
+from .scenarios import BUILTIN_NAMES, TABLE1_NEXT_SCHEDULE, builtin_topology
 from .topology import (
     TopologyError,
     assign_identities,
@@ -23,12 +26,38 @@ from .topology import (
 from .traceio import TraceFormatError, read_trace, write_trace
 from .verifier import verify_run
 
-PROTOCOLS = ("seq_tree", "par_tree", "arbitrary")
+
+class Protocol(NamedTuple):
+    module: ModuleType  # its make_simulation is looked up at call time
+    trees_only: bool
+    options: Callable[[argparse.Namespace], dict]  # `run` options -> make_simulation kwargs
+
+
+# How each protocol is built from `d2color run`. What a protocol promises is
+# verifier.PROMISES: the verifier judges runs without importing protocol code.
+PROTOCOLS = {
+    "seq_tree": Protocol(proto_tree_seq, True,
+                         lambda a: {"next_child_order": a.next_child, "seed": a.seed}),
+    "par_tree": Protocol(proto_tree_par, True,
+                         lambda a: {"end_phase": a.end_phase,
+                                    "root_always_ends": a.root_always_ends,
+                                    "sibling_end_parallel": a.sibling_end_parallel}),
+    "arbitrary": Protocol(proto_arbitrary, False,
+                          lambda a: {"next_schedule": TABLE1_NEXT_SCHEDULE
+                                     if a.pin_table1_choices else None}),
+}
 
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.exit(3, f"{self.prog}: error: {message}\n")
+
+
+def _non_negative(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
 
 
 def _load_source(args):
@@ -60,39 +89,10 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def build_simulation(topology, args):
-    if args.protocol == "seq_tree":
-        return proto_tree_seq.make_simulation(
-            topology,
-            args.root,
-            start_round=args.start_round,
-            policy=args.clash_policy,
-            next_child_order=args.next_child,
-            seed=args.seed,
-        )
-    if args.protocol == "par_tree":
-        return proto_tree_par.make_simulation(
-            topology,
-            args.root,
-            start_round=args.start_round,
-            policy=args.clash_policy,
-            end_phase=args.end_phase,
-            root_always_ends=args.root_always_ends,
-            sibling_end_parallel=args.sibling_end_parallel,
-        )
-    schedule = TABLE1_NEXT_SCHEDULE if args.pin_table1_choices else None
-    return proto_arbitrary.make_simulation(
-        topology,
-        args.root,
-        start_round=args.start_round,
-        policy=args.clash_policy,
-        next_schedule=schedule,
-    )
-
-
 def cmd_run(args) -> int:
     topology = _load_source(args)
-    if args.protocol in ("seq_tree", "par_tree") and topology.kind != "tree":
+    protocol = PROTOCOLS[args.protocol]
+    if protocol.trees_only and topology.kind != "tree":
         print("tree protocols require a tree topology", file=sys.stderr)
         return 3
     if not 1 <= args.root <= topology.n:
@@ -100,7 +100,8 @@ def cmd_run(args) -> int:
         return 3
     mets = metrics(topology, args.root)
     budget = args.max_rounds if args.max_rounds is not None else auto_budget(topology.n, mets.delta)
-    sim = build_simulation(topology, args)
+    sim = protocol.module.make_simulation(topology, args.root, start_round=args.start_round,
+                                          policy=args.clash_policy, **protocol.options(args))
     try:
         trace = sim.run(budget)
     except ClashDetected as exc:
@@ -162,6 +163,11 @@ def cmd_verify(args) -> int:
 def cmd_bench(args) -> int:
     sizes = [int(v) for v in args.sizes.split(",")]
     seeds = [int(v) for v in args.seeds.split(",")]
+    protocols = args.protocols.split(",")
+    unknown = [p for p in protocols if p not in PROTOCOLS]
+    if unknown:
+        print(f"unknown protocols {unknown}; expected some of {list(PROTOCOLS)}", file=sys.stderr)
+        return 3
     print("protocol\tn\tdelta\tdepth\trounds\tclaim_round\tbroadcasts\tratio\tbound_ok")
     worst = 0.0
     for n in sizes:
@@ -171,14 +177,8 @@ def cmd_bench(args) -> int:
             root = degs.index(max(degs)) + 1
             mets = metrics(topo, root)
             budget = auto_budget(n, mets.delta)
-            for proto in args.protocols.split(","):
-                ns = argparse.Namespace(
-                    protocol=proto, root=root, start_round=0, clash_policy="fail_fast",
-                    next_child="min", seed=seed, end_phase=True, root_always_ends=False,
-                    sibling_end_parallel=False, pin_table1_choices=False,
-                )
-                sim = build_simulation(topo, ns)
-                trace = sim.run(budget)
+            for proto in protocols:
+                trace = PROTOCOLS[proto].module.make_simulation(topo, root).run(budget)
                 report = verify_run(topo, trace)
                 claim = report.completion_round or 0
                 dd = mets.delta * mets.depth
@@ -200,7 +200,7 @@ def main(argv=None) -> int:
 
     gen = sub.add_parser("gen", help="generate a topology file")
     gen.add_argument("--tree", action="store_true", help="generate a random tree")
-    gen.add_argument("--builtin", choices=("singleton", "path3", "star4", "table1", "binary15"))
+    gen.add_argument("--builtin", choices=BUILTIN_NAMES)
     gen.add_argument("--n", type=int, default=10)
     gen.add_argument("--max-degree", type=int, default=4)
     gen.add_argument("--seed", type=int, default=0)
@@ -213,11 +213,11 @@ def main(argv=None) -> int:
 
     run = sub.add_parser("run", help="execute a protocol scenario")
     run.add_argument("--topology")
-    run.add_argument("--builtin", choices=("singleton", "path3", "star4", "table1", "binary15"))
+    run.add_argument("--builtin", choices=BUILTIN_NAMES)
     run.add_argument("--protocol", required=True, choices=PROTOCOLS)
     run.add_argument("--root", type=int, default=1)
-    run.add_argument("--start-round", type=int, default=0)
-    run.add_argument("--max-rounds", type=int, default=None)
+    run.add_argument("--start-round", type=_non_negative, default=0)
+    run.add_argument("--max-rounds", type=_non_negative, default=None)
     run.add_argument("--seed", type=int, default=0)
     run.add_argument("--next-child", default="min", choices=("min", "random"))
     run.add_argument("--end-phase", action=argparse.BooleanOptionalAction, default=True)
@@ -241,7 +241,9 @@ def main(argv=None) -> int:
     bench.add_argument("--sizes", default="10,50,100,300")
     bench.add_argument("--seeds", default="0,1")
     bench.add_argument("--max-degree", type=int, default=6)
-    bench.add_argument("--protocols", default="par_tree")
+    # the parallel protocol: the ratio column tracks its O(depth * delta) claim
+    bench.add_argument("--protocols", default=",".join(
+        name for name, p in PROTOCOLS.items() if p.module is proto_tree_par))
     bench.set_defaults(fn=cmd_bench)
 
     args = parser.parse_args(argv)

@@ -13,6 +13,7 @@ no earlier than round t+1.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -21,6 +22,7 @@ from .topology import Topology
 
 FAIL_FAST = "fail_fast"
 RECORD_AND_CORRUPT = "record_and_corrupt"
+POLICIES = (FAIL_FAST, RECORD_AND_CORRUPT)
 
 
 class EngineError(Exception):
@@ -91,10 +93,7 @@ class Trace:
     claimed_by: int | None = None
 
     def broadcast_counts(self) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for rec in self.broadcasts:
-            counts[rec.message.kind] = counts.get(rec.message.kind, 0) + 1
-        return counts
+        return dict(Counter(rec.message.kind for rec in self.broadcasts))
 
     def final_states(self) -> dict[int, dict]:
         out: dict[int, dict] = {}
@@ -103,18 +102,11 @@ class Trace:
         return out
 
     def final_colors(self) -> dict[int, int]:
-        colors = {}
-        for proc, state in self.final_states().items():
-            c = state.get("color")
-            if c is not None:
-                colors[proc] = c
-        return colors
+        return {proc: state["color"] for proc, state in self.final_states().items()
+                if state.get("color") is not None}
 
     def max_broadcasts_per_round(self) -> int:
-        per_round: dict[int, int] = {}
-        for rec in self.broadcasts:
-            per_round[rec.round] = per_round.get(rec.round, 0) + 1
-        return max(per_round.values(), default=0)
+        return max(Counter(rec.round for rec in self.broadcasts).values(), default=0)
 
 
 class Process:
@@ -170,6 +162,8 @@ class Simulation:
             raise EngineError("need exactly one process per topology index")
         if delivery_delay not in (0, 1):
             raise EngineError("delivery_delay must be 0 (same slot) or 1 (next slot)")
+        if policy not in POLICIES:
+            raise EngineError(f"unknown clash policy {policy!r}; expected one of {POLICIES}")
         self.topology = topology
         self.processes = processes
         self.policy = policy
@@ -242,7 +236,7 @@ class Simulation:
             self.processes[target].on_external(msg, t)
             self.trace.externals.append(ExternalRecord(t, target, msg))
 
-        events = self._detect_clashes(t, pending)
+        events = detect_clashes(self.topology, t, set(pending))
         fatal = events
         if self.clash_exempt is not None:
             fatal = [e for e in events if not self.clash_exempt(e, pending)]
@@ -283,9 +277,6 @@ class Simulation:
         self._round_was_active = bool(pending or ready or externals)
         self._finish_snapshots(t)
 
-    def _detect_clashes(self, t: int, pending: dict[int, Message]) -> list[ClashEvent]:
-        return detect_clashes(self.topology, t, set(pending))
-
     def _finish_snapshots(self, t: int) -> None:
         changes = self.trace.changes
         last = self._last_snap
@@ -324,6 +315,36 @@ class Simulation:
         self.trace.rounds = steps
         self.trace.claimed_by = self.claimer()
         return self.trace
+
+
+def start_simulation(
+    topology: Topology,
+    root: int,
+    make_process,
+    meta: dict,
+    start_round: int,
+    policy: str,
+    done_fn=None,
+    **options,
+) -> Simulation:
+    """A simulation with one process per index and the START scheduled at root.
+
+    make_process(index, identity, neighbor_identities) builds each process.
+    The trace meta records root, start_round and policy, then meta on top.
+    The run is done, unless done_fn says otherwise, once the root has claimed
+    termination: an O(1) check, where the default claimer() scans processes.
+    Remaining options go to Simulation.
+    """
+    processes = {
+        i: make_process(i, topology.identity(i), topology.neighbor_identities(i))
+        for i in range(1, topology.n + 1)
+    }
+    if done_fn is None:
+        done_fn = lambda sim: sim.processes[root].claimed_termination
+    meta = {"root": root, "start_round": start_round, "policy": policy, **meta}
+    sim = Simulation(topology, processes, policy=policy, done_fn=done_fn, meta=meta, **options)
+    sim.schedule_external(start_round, root, Start())
+    return sim
 
 
 def detect_clashes(topology: Topology, t: int, origins: set[int]) -> list[ClashEvent]:

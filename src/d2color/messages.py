@@ -9,9 +9,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
-FICTITIOUS_COLOR = -1
-
-
 @dataclass(frozen=True)
 class Start:
     kind = "START"
@@ -147,14 +144,15 @@ def color_seq_bits(msg: ColorSeq, n: int, delta: int) -> int:
     sender color and one per carried (non-fictitious) neighbor color at
     ceil(log2(delta+1)) bits each.
     """
-    id_bits = max(1, math.ceil(math.log2(n))) if n > 1 else 1
-    color_bits = max(1, math.ceil(math.log2(delta + 1))) if delta > 0 else 1
-    real = sum(1 for c in msg.d1colors if c >= 0)
-    return 2 * id_bits + (1 + real) * color_bits
+    return _color_seq_size(n, delta, 1 + sum(1 for c in msg.d1colors if c >= 0))
 
 
 def color_seq_bits_bound(n: int, delta: int) -> int:
     """Accounting-model bound: 2*log2(n) identity bits + delta color slots."""
+    return _color_seq_size(n, delta, delta)
+
+
+def _color_seq_size(n: int, delta: int, color_slots: int) -> int:
     id_bits = max(1, math.ceil(math.log2(n))) if n > 1 else 1
     color_bits = max(1, math.ceil(math.log2(delta + 1))) if delta > 0 else 1
-    return 2 * id_bits + delta * color_bits
+    return 2 * id_bits + color_slots * color_bits

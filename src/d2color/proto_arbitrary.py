@@ -17,8 +17,9 @@ relayed correction.  Every broadcast returns the process to state 0.
 
 from __future__ import annotations
 
-from .engine import FAIL_FAST, Process, ProtocolViolation, Simulation
-from .messages import ColorArb, Correct, CorrectedColor, ResumeColoring, Start, TermArb
+from .engine import FAIL_FAST, Process, ProtocolViolation, Simulation, start_simulation
+from .messages import (ColorArb, Correct, CorrectedColor, ResumeColoring, Start, TermArb,
+                       first_free_color)
 from .topology import Topology
 
 
@@ -55,9 +56,6 @@ class OrderedColorSet:
     def __iter__(self):
         return iter(self.values)
 
-    def __len__(self) -> int:
-        return len(self.values)
-
     def as_tuple(self) -> tuple[int, ...]:
         return tuple(self.values)
 
@@ -90,12 +88,6 @@ class ArbProcess(Process):
                 )
             return choice
         return min(self.to_color)
-
-    def _first_free(self, *excluded_sets) -> int:
-        c = 0
-        while any(c in s for s in excluded_sets):
-            c += 1
-        return c
 
     def on_external(self, msg, clock):
         if not isinstance(msg, Start):
@@ -161,7 +153,7 @@ class ArbProcess(Process):
             return
         self.d2.add_all(msg.d1colors)
         self.d1.add(msg.color)
-        self.color = self._first_free(self.d1, self.d2)
+        self.color = first_free_color([*self.d1, *self.d2])
         self.sender = msg.sender
         self.state = 4
         self.dirty = True
@@ -197,10 +189,10 @@ class ArbProcess(Process):
         self.state = 0
         self.dirty = True
         if state == 1:
-            self.color = self._first_free(self.d1, self.d2)
+            self.color = first_free_color([*self.d1, *self.d2])
             return Correct(self.sender, self.ident, self.color, self.d1.as_tuple())
         if state == 2:
-            proposal = self._first_free(self.d1, {self.color})
+            proposal = first_free_color([*self.d1, self.color])
             nxt = self._pick_next()
             return ColorArb(nxt, self.ident, self.color, proposal, self.d1.as_tuple())
         if state == 3:
@@ -244,18 +236,10 @@ def make_simulation(
     handler_order_seed: int | None = None,
     meta: dict | None = None,
 ) -> Simulation:
-    processes = {
-        i: ArbProcess(i, topology.identity(i), topology.neighbor_identities(i), next_schedule)
-        for i in range(1, topology.n + 1)
-    }
-    base_meta = {"protocol": "arbitrary", "root": root, "start_round": start_round,
-                 "policy": policy}
-    base_meta.update(meta or {})
     # this protocol's reference execution receives each broadcast in the slot
     # after it was sent, unlike the tree protocols' same-slot model
-    sim = Simulation(topology, processes, policy=policy,
-                     done_fn=lambda sim: sim.processes[root].claimed_termination,
-                     handler_order_seed=handler_order_seed,
-                     delivery_delay=1, meta=base_meta)
-    sim.schedule_external(start_round, root, Start())
-    return sim
+    return start_simulation(
+        topology, root, lambda *ids: ArbProcess(*ids, next_schedule),
+        {"protocol": "arbitrary", **(meta or {})},
+        start_round, policy, handler_order_seed=handler_order_seed, delivery_delay=1,
+    )

@@ -17,8 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .engine import FAIL_FAST, Process, ProtocolViolation, Simulation
-from .messages import ColorPar, End, New, Start, TermPar
+from .engine import FAIL_FAST, Process, ProtocolViolation, Simulation, start_simulation
+from .messages import ColorPar, End, New, Start, TermPar, first_free_color
 from .topology import Topology, build_topology, metrics
 from .verifier import d2_conflicts
 
@@ -259,38 +259,24 @@ def make_simulation(
     handler_order_seed: int | None = None,
     meta: dict | None = None,
 ) -> Simulation:
-    processes = {
-        i: ParProcess(i, topology.identity(i), topology.neighbor_identities(i),
-                      end_phase, root_always_ends, sibling_end_parallel)
-        for i in range(1, topology.n + 1)
-    }
-    if end_phase:
-        done = lambda sim: all(p.terminal for p in sim.processes.values())
-    else:
-        done = lambda sim: sim.processes[root].claimed_termination
-    exempt = _end_only_clash if sibling_end_parallel else None
-    base_meta = {"protocol": "par_tree", "root": root, "start_round": start_round,
-                 "policy": policy, "end_phase": end_phase,
-                 "root_always_ends": root_always_ends,
-                 "sibling_end_parallel": sibling_end_parallel}
-    base_meta.update(meta or {})
-    sim = Simulation(topology, processes, policy=policy, done_fn=done,
-                     clash_exempt=exempt, handler_order_seed=handler_order_seed,
-                     meta=base_meta)
-    sim.schedule_external(start_round, root, Start())
-    return sim
+    return start_simulation(
+        topology, root,
+        lambda *ids: ParProcess(*ids, end_phase, root_always_ends, sibling_end_parallel),
+        {"protocol": "par_tree", "end_phase": end_phase, "root_always_ends": root_always_ends,
+         "sibling_end_parallel": sibling_end_parallel, **(meta or {})},
+        start_round, policy,
+        done_fn=_all_terminal if end_phase else None,
+        clash_exempt=_end_only_clash if sibling_end_parallel else None,
+        handler_order_seed=handler_order_seed,
+    )
+
+
+def _all_terminal(sim) -> bool:
+    return all(p.terminal for p in sim.processes.values())
 
 
 def _end_only_clash(event, pending) -> bool:
     return all(isinstance(pending[p], End) for p in event.participants if p in pending)
-
-
-def claim_round(trace) -> int | None:
-    """Round at which the root learned the coloring was complete."""
-    for ch in trace.changes:
-        if ch.state.get("claimed"):
-            return ch.round
-    return None
 
 
 @dataclass
@@ -321,10 +307,10 @@ def execute_join(sim: Simulation, parent_index: int, max_wait: int = 64) -> Join
     known = {parent.color} | set(parent.assigned_pairs.values())
     if parent.parent != parent.ident:
         known.add(parent.sender_cl)
-    color = next(c for c in range(delta + 1) if c not in known)
-
-    taken_ids = {parent.ident} | set(parent.neighbor_ids)
-    new_id = next(v for v in range(1, len(taken_ids) + 2) if v not in taken_ids)
+    # at most degree + 1 <= delta colors are known, so the color is <= delta
+    color = first_free_color(known)
+    # identities start at 1
+    new_id = first_free_color({0, parent.ident} | parent.neighbor_ids)
 
     old = sim.topology
     joiner_index = old.n + 1

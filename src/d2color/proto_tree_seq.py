@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import random
 
-from .engine import FAIL_FAST, Process, ProtocolViolation, Simulation
+from .engine import FAIL_FAST, Process, ProtocolViolation, Simulation, start_simulation
 from .messages import ColorSeq, Start, TermSeq, first_free_color
 from .topology import Topology
 
@@ -126,16 +126,9 @@ def make_simulation(
     meta: dict | None = None,
 ) -> Simulation:
     rng = random.Random(seed) if next_child_order == "random" else None
-    processes = {
-        i: SeqProcess(i, topology.identity(i), topology.neighbor_identities(i),
-                      next_child_order, rng)
-        for i in range(1, topology.n + 1)
-    }
-    base_meta = {"protocol": "seq_tree", "root": root, "start_round": start_round,
-                 "policy": policy, "next_child_order": next_child_order, "seed": seed}
-    base_meta.update(meta or {})
-    sim = Simulation(topology, processes, policy=policy,
-                     done_fn=lambda sim: sim.processes[root].claimed_termination,
-                     handler_order_seed=handler_order_seed, meta=base_meta)
-    sim.schedule_external(start_round, root, Start())
-    return sim
+    return start_simulation(
+        topology, root, lambda *ids: SeqProcess(*ids, next_child_order, rng),
+        {"protocol": "seq_tree", "next_child_order": next_child_order, "seed": seed,
+         **(meta or {})},
+        start_round, policy, handler_order_seed=handler_order_seed,
+    )

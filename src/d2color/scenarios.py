@@ -14,6 +14,7 @@ back onto the uniform next-round schedule that the earlier rows establish.
 from __future__ import annotations
 
 from .topology import Topology, build_topology
+from .verifier import completion_round
 
 BUILTIN_NAMES = ("singleton", "path3", "star4", "table1", "binary15")
 
@@ -156,11 +157,7 @@ def table1_mismatches(trace) -> list[str]:
         problems.append(f"final colors {finals} != {TABLE1_FINAL_COLORS}")
     if trace.claimed_by != TABLE1_ROOT:
         problems.append(f"claimed_by {trace.claimed_by} != {TABLE1_ROOT}")
-    claim_round = None
-    for ch in trace.changes:
-        if ch.state.get("claimed"):
-            claim_round = ch.round
-            break
+    claim_round = completion_round(trace)
     want_end = expected_clock(TABLE1_END_CLOCK)
     if claim_round != want_end:
         problems.append(f"completion at clock {claim_round}, expected {want_end}")

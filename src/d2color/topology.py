@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+
+from .messages import first_free_color
 
 
 class TopologyError(ValueError):
@@ -61,7 +63,6 @@ class Topology:
     adjacency: tuple[tuple[int, ...], ...]
     identities: tuple[int, ...]
     kind: str
-    _ident_of: dict = field(repr=False, hash=False, compare=False, default_factory=dict)
 
     def neighbors(self, i: int) -> tuple[int, ...]:
         return self.adjacency[i]
@@ -76,12 +77,7 @@ class Topology:
         return tuple(self.identities[j] for j in self.adjacency[i])
 
     def edges(self) -> list[tuple[int, int]]:
-        out = []
-        for i in range(1, self.n + 1):
-            for j in self.adjacency[i]:
-                if i < j:
-                    out.append((i, j))
-        return out
+        return [(i, j) for i in range(1, self.n + 1) for j in self.adjacency[i] if i < j]
 
     @property
     def delta(self) -> int:
@@ -240,14 +236,8 @@ def assign_identities(topology: Topology, mode: str, seed: int = 0) -> Topology:
     ids = [0] * (topology.n + 1)
     done = [False] * (topology.n + 1)
     for v in order:
-        taken = set()
-        for u in _two_hop(topology, v):
-            if done[u]:
-                taken.add(ids[u])
-        cand = 1
-        while cand in taken:
-            cand += 1
-        ids[v] = cand
+        # identities start at 1
+        ids[v] = first_free_color({0} | {ids[u] for u in _two_hop(topology, v) if done[u]})
         done[v] = True
     return build_topology(
         topology.edges(), identities=ids[1:], kind=topology.kind, n=topology.n

@@ -7,29 +7,14 @@ a byte-identical file and regressions show up as plain diffs.
 from __future__ import annotations
 
 import json
+import typing
 
 from . import messages
 from .engine import BroadcastRecord, ClashEvent, ExternalRecord, StateChange, Trace
 
 FORMAT = "d2trace/1"
 
-_MESSAGE_TYPES = {
-    cls.kind: cls
-    for cls in (
-        messages.Start,
-        messages.ColorSeq,
-        messages.TermSeq,
-        messages.ColorPar,
-        messages.TermPar,
-        messages.End,
-        messages.New,
-        messages.ColorArb,
-        messages.TermArb,
-        messages.Correct,
-        messages.CorrectedColor,
-        messages.ResumeColoring,
-    )
-}
+_MESSAGE_TYPES = {cls.kind: cls for cls in typing.get_args(messages.Message)}
 
 _TUPLE_FIELDS = {"d1colors", "pairs"}
 

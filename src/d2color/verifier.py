@@ -8,11 +8,13 @@ protocol bug cannot hide itself.
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .engine import Trace, detect_clashes, recheck_clashes
-from .messages import color_seq_bits, color_seq_bits_bound
-from .topology import Topology, metrics
+from .messages import color_seq_bits, color_seq_bits_bound, first_free_color
+from .topology import GraphMetrics, Topology, metrics
 
 ROUND_BOUND_FACTOR = 4  # frozen headroom multiplier for the d*delta round bound
 
@@ -171,10 +173,7 @@ def greedy_reference_coloring(topology: Topology) -> Coloring:
             for w in topology.neighbors(u):
                 if w != v and w in colors:
                     used.add(colors[w])
-        c = 0
-        while c in used:
-            c += 1
-        colors[v] = c
+        colors[v] = first_free_color(used)
     return Coloring.from_colors(colors)
 
 
@@ -202,23 +201,6 @@ def completion_round(trace: Trace) -> int | None:
 def _real_colors(colors) -> int:
     """Number of real colors in a color set; the root's sentinel -1 is not one."""
     return sum(1 for c in colors if c >= 0)
-
-
-def d1_size_violations(trace: Trace, delta: int) -> list[tuple[int, int, int]]:
-    """Snapshots where a knowledge set reached the max degree.
-
-    Returns (round, proc, size) for every recorded state whose d1colors hold
-    at least delta real colors (colors >= 0; the root's sentinel -1 is not
-    counted).
-    """
-    out = []
-    for ch in trace.changes:
-        d1 = ch.state.get("d1colors")
-        if d1 is not None:
-            size = _real_colors(d1)
-            if size >= delta:
-                out.append((ch.round, ch.proc, size))
-    return out
 
 
 def seq_knowledge_violations(
@@ -281,7 +263,13 @@ def end_wave_violations(trace: Trace, delta: int) -> list[int]:
     )
 
 
-def _seq_bounds(trace: Trace, topology: Topology, delta: int) -> list[BoundCheck]:
+def _sequential_flow(trace: Trace) -> BoundCheck:
+    worst = trace.max_broadcasts_per_round()
+    return BoundCheck("sequential_flow", 1, worst, worst <= 1)
+
+
+def _seq_bounds(trace: Trace, topology: Topology, mets: GraphMetrics) -> list[BoundCheck]:
+    delta = mets.delta
     counts = trace.broadcast_counts()
     n = topology.n
     checks = []
@@ -303,28 +291,15 @@ def _seq_bounds(trace: Trace, topology: Topology, delta: int) -> list[BoundCheck
         checks.append(BoundCheck("seq_color_message_bits", bound, worst, worst <= bound))
     else:
         checks.append(BoundCheck("seq_color_count", 0, color, color == 0, note="singleton"))
-    checks.append(
-        BoundCheck(
-            "sequential_flow",
-            1,
-            trace.max_broadcasts_per_round(),
-            trace.max_broadcasts_per_round() <= 1,
-        )
-    )
-    root_max_d = None
-    claimer = trace.claimed_by
-    if claimer is not None:
-        root_max_d = trace.final_states().get(claimer, {}).get("max_d")
-    checks.append(
-        BoundCheck("root_learned_delta", delta, root_max_d if root_max_d is not None else -1,
-                   root_max_d == delta)
-    )
+    checks.append(_sequential_flow(trace))
+    max_d = trace.final_states().get(trace.claimed_by, {}).get("max_d")
+    checks.append(BoundCheck("root_learned_delta", delta, -1 if max_d is None else max_d,
+                             max_d == delta))
     return checks
 
 
-def _par_bounds(
-    trace: Trace, topology: Topology, delta: int, depth: int
-) -> list[BoundCheck]:
+def _par_bounds(trace: Trace, topology: Topology, mets: GraphMetrics) -> list[BoundCheck]:
+    delta, depth = mets.delta, mets.depth
     counts = trace.broadcast_counts()
     n = topology.n
     checks = []
@@ -336,45 +311,47 @@ def _par_bounds(
     claim = completion_round(trace)
     start = int(trace.meta.get("start_round", 0))
     elapsed = claim - start if claim is not None else None
+    observed = -1 if elapsed is None else elapsed
     if depth >= 1:
         bound = ROUND_BOUND_FACTOR * depth * delta
         ok = elapsed is not None and elapsed <= bound
-        checks.append(
-            BoundCheck(
-                "par_completion_round",
-                bound,
-                elapsed if elapsed is not None else -1,
-                ok,
-                note=f"ratio={elapsed / (depth * delta):.3f}" if elapsed is not None else "",
-            )
-        )
+        note = f"ratio={elapsed / (depth * delta):.3f}" if elapsed is not None else ""
+        checks.append(BoundCheck("par_completion_round", bound, observed, ok, note))
     else:
-        checks.append(
-            BoundCheck("par_completion_round", 0, elapsed if elapsed is not None else -1,
-                       claim is not None, note="singleton, bound vacuous")
-        )
+        checks.append(BoundCheck("par_completion_round", 0, observed, claim is not None,
+                                 note="singleton, bound vacuous"))
     edge_bad = par_edge_color_violations(topology, trace)
     checks.append(BoundCheck("par_child_color_range", 0, len(edge_bad), not edge_bad))
+    if trace.meta.get("end_phase"):
+        stuck = end_wave_violations(trace, delta)
+        checks.append(BoundCheck("par_end_wave", 0, len(stuck), not stuck))
     return checks
+
+
+def _arb_bounds(trace: Trace, topology: Topology, mets: GraphMetrics) -> list[BoundCheck]:
+    return [_sequential_flow(trace)]
+
+
+class Promise(NamedTuple):
+    bounds: Callable[[Trace, Topology, GraphMetrics], list[BoundCheck]]
+    colors_within_delta: bool  # validity: every color lies in 0..delta
+
+
+# What each protocol, named by the trace meta, promises. This table is the
+# verifier's own: it never imports protocol code.
+PROMISES = {
+    "seq_tree": Promise(_seq_bounds, True),
+    "par_tree": Promise(_par_bounds, True),
+    "arbitrary": Promise(_arb_bounds, False),
+}
 
 
 def check_bounds(trace: Trace, topology: Topology) -> list[BoundCheck]:
     """Per-protocol count/round/size bound checks from a finished trace."""
-    protocol = trace.meta.get("protocol", "unknown")
-    root = int(trace.meta.get("root", 1))
-    mets = metrics(topology, root)
-    if protocol == "seq_tree":
-        return _seq_bounds(trace, topology, mets.delta)
-    if protocol == "par_tree":
-        checks = _par_bounds(trace, topology, mets.delta, mets.depth)
-        if trace.meta.get("end_phase"):
-            stuck = end_wave_violations(trace, mets.delta)
-            checks.append(BoundCheck("par_end_wave", 0, len(stuck), not stuck))
-        return checks
-    if protocol == "arbitrary":
-        worst = trace.max_broadcasts_per_round()
-        return [BoundCheck("sequential_flow", 1, worst, worst <= 1)]
-    return []
+    promise = PROMISES.get(trace.meta.get("protocol"))
+    if promise is None:
+        return []
+    return promise.bounds(trace, topology, metrics(topology, int(trace.meta.get("root", 1))))
 
 
 def verify_run(topology: Topology, trace: Trace) -> VerificationReport:
@@ -385,9 +362,9 @@ def verify_run(topology: Topology, trace: Trace) -> VerificationReport:
     delta = mets.delta
     colors = trace.final_colors()
     all_colored = len(colors) == topology.n
-    enforce_validity = protocol in ("seq_tree", "par_tree")
+    promise = PROMISES.get(protocol)
     validity_ok, validity_off, consistency_ok, consistency_off = check_coloring(
-        topology, colors, delta, enforce_validity
+        topology, colors, delta, promise is not None and promise.colors_within_delta
     )
     counts = trace.broadcast_counts()
     checks = check_bounds(trace, topology)

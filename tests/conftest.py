@@ -5,11 +5,8 @@ from __future__ import annotations
 import random
 
 from d2color import proto_tree_par, proto_tree_seq
+from d2color.cli import auto_budget
 from d2color.topology import Topology, generate_random_tree, metrics
-
-
-def round_budget(n: int, delta: int) -> int:
-    return 64 + 8 * (n + 1) * (delta + 2)
 
 
 def nonleaf_root(topology: Topology, rng: random.Random) -> int:
@@ -33,10 +30,10 @@ def tree_corpus(count: int, n_max: int, max_degree: int, seed: int):
 def run_seq(topology: Topology, root: int, **kw):
     mets = metrics(topology, root)
     sim = proto_tree_seq.make_simulation(topology, root, **kw)
-    return sim.run(round_budget(topology.n, mets.delta))
+    return sim.run(auto_budget(topology.n, mets.delta))
 
 
 def run_par(topology: Topology, root: int, **kw):
     mets = metrics(topology, root)
     sim = proto_tree_par.make_simulation(topology, root, **kw)
-    return sim.run(round_budget(topology.n, mets.delta))
+    return sim.run(auto_budget(topology.n, mets.delta))

@@ -13,8 +13,9 @@ import random
 
 import pytest
 
-from conftest import nonleaf_root, round_budget
+from conftest import nonleaf_root
 from d2color import proto_arbitrary, proto_tree_par, proto_tree_seq
+from d2color.cli import auto_budget
 from d2color.proto_tree_par import ConsistencyBroken, execute_join, merge_trees
 from d2color.scenarios import (
     TABLE1_FINAL_COLORS,
@@ -26,6 +27,7 @@ from d2color.topology import build_topology, generate_random_tree, metrics
 from d2color.traceio import trace_to_text
 from d2color.verifier import (
     check_coloring,
+    completion_round,
     d2_conflicts,
     end_wave_violations,
     par_edge_color_violations,
@@ -55,14 +57,8 @@ def _corpus_topologies():
     return out
 
 
-def _summarize(topo, root, trace):
-    mets = metrics(topo, root)
+def _summarize(topo, root, trace, mets):
     colors = trace.final_colors()
-    claim = None
-    for ch in trace.changes:
-        if ch.state.get("claimed"):
-            claim = ch.round
-            break
     return {
         "topo": topo,
         "root": root,
@@ -74,33 +70,45 @@ def _summarize(topo, root, trace):
         "clashes": len(trace.clashes),
         "counts": trace.broadcast_counts(),
         "colors": colors,
-        "palette": len(set(colors.values())),
-        "claim_round": claim,
-        "max_bc_per_round": trace.max_broadcasts_per_round(),
-        "knowledge_violations": seq_knowledge_violations(trace, topo, mets.delta),
-        "edge_violations": par_edge_color_violations(topo, trace),
-        "end_violations": end_wave_violations(trace, mets.delta),
     }
+
+
+def _seq_fields(r, trace):
+    return {
+        "max_bc_per_round": trace.max_broadcasts_per_round(),
+        "knowledge_violations": seq_knowledge_violations(trace, r["topo"], r["delta"]),
+    }
+
+
+def _par_fields(r, trace):
+    return {
+        "palette": len(set(r["colors"].values())),
+        "claim_round": completion_round(trace),
+        "edge_violations": par_edge_color_violations(r["topo"], trace),
+        "end_violations": end_wave_violations(trace, r["delta"]),
+    }
+
+
+def _corpus_runs(module, protocol_fields):
+    """Run the corpus under one protocol; summarize only what its criteria read."""
+    out = []
+    for topo, root in _corpus_topologies():
+        mets = metrics(topo, root)
+        trace = module.make_simulation(topo, root).run(auto_budget(topo.n, mets.delta))
+        r = _summarize(topo, root, trace, mets)
+        r.update(protocol_fields(r, trace))
+        out.append(r)
+    return out
 
 
 @pytest.fixture(scope="session")
 def seq_runs():
-    out = []
-    for topo, root in _corpus_topologies():
-        sim = proto_tree_seq.make_simulation(topo, root)
-        trace = sim.run(round_budget(topo.n, topo.delta))
-        out.append(_summarize(topo, root, trace))
-    return out
+    return _corpus_runs(proto_tree_seq, _seq_fields)
 
 
 @pytest.fixture(scope="session")
 def par_runs():
-    out = []
-    for topo, root in _corpus_topologies():
-        sim = proto_tree_par.make_simulation(topo, root)
-        trace = sim.run(round_budget(topo.n, topo.delta))
-        out.append(_summarize(topo, root, trace))
-    return out
+    return _corpus_runs(proto_tree_par, _par_fields)
 
 
 def test_criterion_01_sequential_protocol_properties(seq_runs):
@@ -175,8 +183,8 @@ def test_criterion_04_round_complexity(par_runs):
             root = nonleaf_root(topo, rng)
             mets = metrics(topo, root)
             sim = proto_tree_par.make_simulation(topo, root)
-            trace = sim.run(round_budget(n, mets.delta))
-            claim = next(c.round for c in trace.changes if c.state.get("claimed"))
+            trace = sim.run(auto_budget(n, mets.delta))
+            claim = completion_round(trace)
             ratios.append((n, claim / (mets.depth * mets.delta)))
     sweep_bad = [(n, f"{q:.2f}") for n, q in ratios if q > 4.0]
     worst = max(q for _, q in ratios)
@@ -277,7 +285,7 @@ def test_criterion_10_join_and_merge():
         if not parents:
             continue
         sim = proto_tree_par.make_simulation(topo, root)
-        trace = sim.run(round_budget(n, delta))
+        trace = sim.run(auto_budget(n, delta))
         if trace.status != "terminated":
             bad.append(("run", n, trace.status))
             break
@@ -302,8 +310,8 @@ def test_criterion_10_join_and_merge():
         t2 = build_topology(t1.edges(), identities=ids2, kind="tree", n=n)
         root = nonleaf_root(t1, rng)
         delta = t1.delta
-        c1 = proto_tree_par.make_simulation(t1, root).run(round_budget(n, delta)).final_colors()
-        c2 = proto_tree_par.make_simulation(t2, root).run(round_budget(n, delta)).final_colors()
+        c1 = proto_tree_par.make_simulation(t1, root).run(auto_budget(n, delta)).final_colors()
+        c2 = proto_tree_par.make_simulation(t2, root).run(auto_budget(n, delta)).final_colors()
         # both runs color mirror-identical trees: any shared endpoint index of
         # degree < delta clashes by construction
         x = next((i for i in range(1, n + 1) if t1.degree(i) < delta), None)
@@ -325,7 +333,7 @@ def test_criterion_11_deterministic_traces():
     topo = builtin_topology("binary15")
     scenarios.append(lambda: proto_tree_seq.make_simulation(topo, 1).run(1000))
     rnd = generate_random_tree(120, 6, seed=5)
-    scenarios.append(lambda: proto_tree_par.make_simulation(rnd, 1).run(round_budget(120, rnd.delta)))
+    scenarios.append(lambda: proto_tree_par.make_simulation(rnd, 1).run(auto_budget(120, rnd.delta)))
     t1 = builtin_topology("table1")
     scenarios.append(
         lambda: proto_arbitrary.make_simulation(t1, 1, next_schedule=TABLE1_NEXT_SCHEDULE).run(200)

@@ -92,6 +92,16 @@ class TestRunAndVerify:
         assert run_cli("run", "--builtin", "path3", "--protocol", "par_tree",
                        "--root", "9") == 3
 
+    def test_negative_start_round_is_usage_error(self, capsys):
+        assert run_cli("run", "--builtin", "path3", "--protocol", "seq_tree",
+                       "--start-round", "-1") == 3
+        assert "--start-round: must be >= 0" in capsys.readouterr().err
+
+    def test_negative_max_rounds_is_usage_error(self, capsys):
+        assert run_cli("run", "--builtin", "path3", "--protocol", "seq_tree",
+                       "--max-rounds", "-5") == 3
+        assert "--max-rounds: must be >= 0" in capsys.readouterr().err
+
     def test_join_directive(self, tmp_path, capsys):
         topo_path = tmp_path / "p.topo"
         run_cli("gen", "--builtin", "path3", "-o", str(topo_path))
@@ -140,3 +150,7 @@ class TestBench:
             fields = line.split("\t")
             assert fields[-1] == "yes"
             assert float(fields[-2]) <= 4.0
+
+    def test_unknown_protocol_is_usage_error(self, capsys):
+        assert run_cli("bench", "--sizes", "10", "--protocols", "par_tree,nope") == 3
+        assert "unknown protocols ['nope']" in capsys.readouterr().err

@@ -77,6 +77,10 @@ class TestConstruction:
         with pytest.raises(EngineError):
             Simulation(topo, procs, delivery_delay=2)
 
+    def test_rejects_unknown_policy(self):
+        with pytest.raises(EngineError, match="fail_fsat"):
+            beacon_sim(line4(), {}, policy="fail_fsat")
+
 
 class TestExternals:
     def test_duplicate_start_rejected(self):

@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from conftest import round_budget, tree_corpus
+from conftest import tree_corpus
+from d2color.cli import auto_budget
 from d2color.proto_tree_par import (
     ConsistencyBroken,
     DegreeMismatch,
@@ -22,7 +23,7 @@ from d2color.verifier import d2_conflicts, tdma_replay
 def completed_sim(topology, root, **kw):
     sim = make_simulation(topology, root, **kw)
     delta = metrics(topology, root).delta
-    trace = sim.run(round_budget(topology.n, delta))
+    trace = sim.run(auto_budget(topology.n, delta))
     assert trace.status == "terminated"
     return sim
 

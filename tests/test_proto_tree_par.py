@@ -1,18 +1,19 @@
 import pytest
 
-from conftest import round_budget, run_par, tree_corpus
+from conftest import run_par, tree_corpus
+from d2color.cli import auto_budget
 from d2color.engine import ProtocolViolation
 from d2color.messages import ColorPar, End, Start, TermPar
 from d2color.proto_tree_par import (
     MissingPairForUncoloredChild,
     ParProcess,
-    claim_round,
     make_simulation,
 )
 from d2color.scenarios import builtin_topology
 from d2color.topology import metrics
 from d2color.traceio import trace_to_text
 from d2color.verifier import (
+    completion_round,
     end_wave_violations,
     par_edge_color_violations,
     verify_run,
@@ -39,7 +40,7 @@ class TestPath3FromMiddle:
         assert rec.round == 1
 
     def test_claim_round(self):
-        assert claim_round(self.trace) == 3
+        assert completion_round(self.trace) == 3
 
     def test_all_end_at_state_6_knowing_palette_size(self):
         assert end_wave_violations(self.trace, delta=2) == []
@@ -247,4 +248,4 @@ class TestCorpusProperties:
         delta = metrics(topo, root).delta
         for seed in (11, 12):
             sim = make_simulation(topo, root, handler_order_seed=seed)
-            assert trace_to_text(sim.run(round_budget(topo.n, delta))) == base
+            assert trace_to_text(sim.run(auto_budget(topo.n, delta))) == base

@@ -3,7 +3,8 @@ from dataclasses import replace
 
 import pytest
 
-from conftest import round_budget, run_seq, tree_corpus
+from conftest import run_seq, tree_corpus
+from d2color.cli import auto_budget
 from d2color.engine import ProtocolViolation
 from d2color.messages import ColorSeq, TermSeq
 from d2color.proto_tree_seq import SeqProcess, make_simulation
@@ -11,7 +12,6 @@ from d2color.scenarios import builtin_topology
 from d2color.topology import generate_random_tree, metrics
 from d2color.verifier import (
     check_coloring,
-    d1_size_violations,
     seq_knowledge_violations,
     verify_run,
 )
@@ -140,11 +140,17 @@ class TestCorpusProperties:
         # the strict snapshot bound does not survive a subtree's final
         # report: the parent then holds all of its neighbors' colors. The
         # root's sentinel -1 is no color, so the root (one real color) is
-        # not listed
+        # not listed. The set is never broadcast then, so the protocol's
+        # knowledge-set bound still holds
         topo = builtin_topology("path3")
         trace = run_seq(topo, 1)
-        violations = d1_size_violations(trace, 2)
-        assert violations == [(3, 2, 2), (4, 2, 2)]
+        full = []
+        for ch in trace.changes:
+            size = sum(1 for c in ch.state["d1colors"] if c >= 0)
+            if size >= 2:
+                full.append((ch.round, ch.proc, size))
+        assert full == [(3, 2, 2), (4, 2, 2)]
+        assert seq_knowledge_violations(trace, topo, 2) == []
 
 
 class TestKnowledgeBoundCheck:
@@ -194,16 +200,16 @@ class TestRandomNextChild:
         delta = metrics(topo, 1).delta
         for seed in (0, 1, 2):
             sim = make_simulation(topo, 1, next_child_order="random", seed=seed)
-            trace = sim.run(round_budget(60, delta))
+            trace = sim.run(auto_budget(60, delta))
             ok_v, _, ok_c, _ = check_coloring(topo, trace.final_colors(), delta)
             assert trace.status == "terminated" and ok_v and ok_c
 
     def test_orders_can_differ_but_counts_match(self):
         topo = generate_random_tree(60, 5, seed=9)
         delta = metrics(topo, 1).delta
-        base = make_simulation(topo, 1).run(round_budget(60, delta))
+        base = make_simulation(topo, 1).run(auto_budget(60, delta))
         rand = make_simulation(topo, 1, next_child_order="random", seed=4).run(
-            round_budget(60, delta)
+            auto_budget(60, delta)
         )
         assert base.broadcast_counts() == rand.broadcast_counts()
 
