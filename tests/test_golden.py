@@ -19,6 +19,7 @@ import pytest
 from d2color import cli, proto_arbitrary, proto_tree_par, proto_tree_seq
 from d2color.scenarios import TABLE1_NEXT_SCHEDULE, builtin_topology
 from d2color.topology import (
+    build_topology,
     generate_random_connected,
     generate_random_tree,
     metrics,
@@ -48,6 +49,9 @@ LIBRARY = {
                          {"end_phase": False}),
     "par_root_always_ends": (lambda: builtin_topology("path3"), proto_tree_par, 1,
                              {"root_always_ends": True}),
+    # a leaf root sends no END, so these runs stop partial once a round passes quietly
+    "par_partial_path3": (lambda: builtin_topology("path3"), proto_tree_par, 1, {}),
+    "par_partial_pair": (lambda: build_topology([(1, 2)], kind="tree"), proto_tree_par, 1, {}),
     "par_sibling_end_parallel": (lambda: generate_random_tree(45, 5, seed=6), proto_tree_par, 1,
                                  {"sibling_end_parallel": True,
                                   "policy": "record_and_corrupt"}),
@@ -69,6 +73,10 @@ LIBRARY_DIGESTS = {
         "1d57ef77fad7ef51c6d783d5c8e012d44cc4ecc2b85e3246f67d12f0fdc0257f",
     "par_no_end_phase":
         "821590dcb74323e0885ac39d824c3271ea77e1b4dac357cf9cbf53081660ea69",
+    "par_partial_pair":
+        "f52eb65fd48952bb80686ec4e73d3b0ba91515b739cb7e31ef9afa47898d9a69",
+    "par_partial_path3":
+        "daaf38dd3c787b1c9263c799661a8efd233aa57a88cf389a006b92078b46ab07",
     "par_root_always_ends":
         "92c171a5e7ab00006c93b0192a1fd3be4d1f373edad448f81bc908b562f0ed52",
     "par_sibling_end_parallel":
