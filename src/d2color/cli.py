@@ -60,6 +60,13 @@ def _non_negative(text: str) -> int:
     return value
 
 
+def _int_list(text: str) -> list[int]:
+    try:
+        return [int(v) for v in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
+
+
 def _load_source(args):
     if args.builtin:
         return builtin_topology(args.builtin)
@@ -95,9 +102,10 @@ def cmd_run(args) -> int:
     if protocol.trees_only and topology.kind != "tree":
         print("tree protocols require a tree topology", file=sys.stderr)
         return 3
-    if not 1 <= args.root <= topology.n:
-        print(f"root must be in 1..{topology.n}", file=sys.stderr)
-        return 3
+    for option, index in (("root", args.root), ("join parent", args.join_parent)):
+        if index is not None and not 1 <= index <= topology.n:
+            print(f"{option} must be in 1..{topology.n}", file=sys.stderr)
+            return 3
     mets = metrics(topology, args.root)
     budget = args.max_rounds if args.max_rounds is not None else auto_budget(topology.n, mets.delta)
     sim = protocol.module.make_simulation(topology, args.root, start_round=args.start_round,
@@ -161,8 +169,6 @@ def cmd_verify(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    sizes = [int(v) for v in args.sizes.split(",")]
-    seeds = [int(v) for v in args.seeds.split(",")]
     protocols = args.protocols.split(",")
     unknown = [p for p in protocols if p not in PROTOCOLS]
     if unknown:
@@ -170,8 +176,8 @@ def cmd_bench(args) -> int:
         return 3
     print("protocol\tn\tdelta\tdepth\trounds\tclaim_round\tbroadcasts\tratio\tbound_ok")
     worst = 0.0
-    for n in sizes:
-        for seed in seeds:
+    for n in args.sizes:
+        for seed in args.seeds:
             topo = generate_random_tree(n, args.max_degree, seed)
             degs = [topo.degree(i) for i in range(1, n + 1)]
             root = degs.index(max(degs)) + 1
@@ -238,8 +244,8 @@ def main(argv=None) -> int:
     ver.set_defaults(fn=cmd_verify)
 
     bench = sub.add_parser("bench", help="sweep tree sizes and report scaling")
-    bench.add_argument("--sizes", default="10,50,100,300")
-    bench.add_argument("--seeds", default="0,1")
+    bench.add_argument("--sizes", type=_int_list, default="10,50,100,300")
+    bench.add_argument("--seeds", type=_int_list, default="0,1")
     bench.add_argument("--max-degree", type=int, default=6)
     # the parallel protocol: the ratio column tracks its O(depth * delta) claim
     bench.add_argument("--protocols", default=",".join(

@@ -8,6 +8,11 @@ within the same round (or the next one, for simulations built with
 delivery_delay=1), reception handlers run, and changed process states are
 snapshotted.  State changed during round t can therefore trigger a broadcast
 no earlier than round t+1.
+
+The clock ticks only at processes whose may_act holds.  The engine re-reads
+may_act after each round for the processes that round touched (polled, handed
+an external message, or delivered to); state set on a process outside its
+handlers must therefore be followed by set_topology, which re-reads it for all.
 """
 
 from __future__ import annotations
@@ -138,11 +143,12 @@ class Process:
 
     @property
     def may_act(self) -> bool:
-        """True when a future clock tick alone could make this process broadcast."""
-        return False
+        """True when a future clock tick alone could make this process broadcast or change state.
 
-    @property
-    def terminal(self) -> bool:
+        The engine calls on_clock only while this holds and re-reads it after
+        the process's handlers run; state set outside them must be followed
+        by Simulation.set_topology.
+        """
         return False
 
 
@@ -176,6 +182,7 @@ class Simulation:
         self._pending_inbox: dict[int, list[tuple[int, Message]]] = {}
         self._last_snap: dict[int, dict] = {}
         self._claimer: int | None = None
+        self._armed = {i for i, p in processes.items() if p.may_act}
         self._round_was_active = True
         self._start_scheduled = False
         self._order_rng = (
@@ -194,24 +201,17 @@ class Simulation:
         self._externals.setdefault(round, []).append((target, message))
 
     def claimer(self) -> int | None:
-        if self._claimer is None:
-            for i in self._indices():
-                if self.processes[i].claimed_termination:
-                    self._claimer = i
-                    break
         return self._claimer
 
     def set_topology(self, topology: Topology, new_processes: dict[int, Process]) -> None:
-        """Swap in an extended topology mid-run (dynamic join support)."""
+        """Swap in an extended topology mid-run (dynamic join); re-read every may_act."""
         self.topology = topology
         self.processes = dict(self.processes)
         self.processes.update(new_processes)
+        self._armed = {i for i, p in self.processes.items() if p.may_act}
 
-    def _indices(self) -> range:
-        return range(1, self.topology.n + 1)
-
-    def _handler_order(self) -> list[int]:
-        order = list(self._indices())
+    def _ordered(self, indices) -> list[int]:
+        order = sorted(indices)
         if self._order_rng is not None:
             self._order_rng.shuffle(order)
         return order
@@ -219,22 +219,24 @@ class Simulation:
     def step_round(self) -> None:
         self.clock += 1
         t = self.clock
+        procs = self.processes
 
         # broadcasts are committed at the beginning of the slot
+        polled = self._ordered(self._armed)
         pending: dict[int, Message] = {}
-        for i in self._handler_order():
-            msg = self.processes[i].on_clock(t)
+        for i in polled:
+            msg = procs[i].on_clock(t)
             if msg is not None:
-                if i in pending:
-                    raise ProtocolViolation(f"process {i} broadcast twice in round {t}")
                 pending[i] = msg
 
         # off-medium deliveries (START, NEW to a joiner) are processed within
         # the slot, after its broadcast opportunities are gone
         externals = self._externals.pop(t, ())
         for target, msg in externals:
-            self.processes[target].on_external(msg, t)
+            procs[target].on_external(msg, t)
             self.trace.externals.append(ExternalRecord(t, target, msg))
+        touched = set(polled)
+        touched.update(target for target, _ in externals)
 
         events = detect_clashes(self.topology, t, set(pending))
         fatal = events
@@ -256,7 +258,7 @@ class Simulation:
         # fail-fast aborts after the physical broadcasts are on record but
         # before any reception handler runs
         if fatal and self.policy == FAIL_FAST:
-            self._finish_snapshots(t)
+            self._finish_round(t, touched)
             raise ClashDetected(fatal)
 
         if self.delivery_delay == 0:
@@ -264,35 +266,40 @@ class Simulation:
         else:
             ready = self._pending_inbox
             self._pending_inbox = inbox
-        order = sorted(ready) if self._order_rng is None else [
-            w for w in self._handler_order() if w in ready
-        ]
-        for w in order:
+        for w in self._ordered(ready):
             deliveries = ready[w]
             if len(deliveries) > 1:
                 deliveries = sorted(deliveries, key=lambda p: p[0])
             for _, msg in deliveries:
-                self.processes[w].on_message(msg)
+                procs[w].on_message(msg)
+        touched.update(ready)
 
         self._round_was_active = bool(pending or ready or externals)
-        self._finish_snapshots(t)
+        self._finish_round(t, touched)
 
-    def _finish_snapshots(self, t: int) -> None:
+    def _finish_round(self, t: int, touched: set[int]) -> None:
+        """Snapshot, re-arm and note a claim for each process the round touched."""
         changes = self.trace.changes
         last = self._last_snap
-        for i, p in self.processes.items():
+        armed = self._armed
+        procs = self.processes
+        for i in sorted(touched):
+            p = procs[i]
             if p.dirty:
                 snap = p.snapshot()
                 if snap != last.get(i):
                     changes.append(StateChange(t, i, snap))
                     last[i] = snap
                 p.dirty = False
+            if p.may_act:
+                armed.add(i)
+            else:
+                armed.discard(i)
+            if self._claimer is None and p.claimed_termination:
+                self._claimer = i
 
     def _quiescent(self) -> bool:
-        if self._externals or any(self._pending_inbox.values()):
-            return False
-        procs = self.processes
-        return all(not procs[i].may_act for i in self._indices())
+        return not (self._armed or self._externals or self._pending_inbox)
 
     def run(self, max_rounds: int) -> Trace:
         steps = 0
@@ -306,8 +313,7 @@ class Simulation:
                 break
             self.step_round()
             steps += 1
-            # a deadlock can only persist through traffic-free rounds, so the
-            # (linear) quiescence scan is needed only on those
+            # a partial run ends with one traffic-free round, which its trace counts
             if not self._round_was_active and not self.done_fn(self) and self._quiescent():
                 status = RunStatus.PARTIAL
                 break
@@ -324,25 +330,20 @@ def start_simulation(
     meta: dict,
     start_round: int,
     policy: str,
-    done_fn=None,
     **options,
 ) -> Simulation:
     """A simulation with one process per index and the START scheduled at root.
 
     make_process(index, identity, neighbor_identities) builds each process.
     The trace meta records root, start_round and policy, then meta on top.
-    The run is done, unless done_fn says otherwise, once the root has claimed
-    termination: an O(1) check, where the default claimer() scans processes.
-    Remaining options go to Simulation.
+    Remaining options (done_fn among them) go to Simulation.
     """
     processes = {
         i: make_process(i, topology.identity(i), topology.neighbor_identities(i))
         for i in range(1, topology.n + 1)
     }
-    if done_fn is None:
-        done_fn = lambda sim: sim.processes[root].claimed_termination
     meta = {"root": root, "start_round": start_round, "policy": policy, **meta}
-    sim = Simulation(topology, processes, policy=policy, done_fn=done_fn, meta=meta, **options)
+    sim = Simulation(topology, processes, policy=policy, meta=meta, **options)
     sim.schedule_external(start_round, root, Start())
     return sim
 

@@ -222,10 +222,6 @@ class ArbProcess(Process):
     def may_act(self) -> bool:
         return self.state != 0
 
-    @property
-    def terminal(self) -> bool:
-        return self.claimed_termination
-
 
 def make_simulation(
     topology: Topology,

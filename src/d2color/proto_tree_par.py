@@ -197,12 +197,6 @@ class ParProcess(Process):
             return True
         return self.pending_new is not None
 
-    @property
-    def terminal(self) -> bool:
-        if self.end_phase:
-            return self.state == 6
-        return self.state == 4 or self.claimed_termination
-
 
 class JoinerProcess(Process):
     """A process outside the colored tree, waiting for its NEW announcement."""
@@ -243,10 +237,6 @@ class JoinerProcess(Process):
             "joined": self.joined,
         }
 
-    @property
-    def terminal(self) -> bool:
-        return self.joined
-
 
 def make_simulation(
     topology: Topology,
@@ -272,7 +262,8 @@ def make_simulation(
 
 
 def _all_terminal(sim) -> bool:
-    return all(p.terminal for p in sim.processes.values())
+    # state 6: a ParProcess past the END wave, or a JoinerProcess that joined
+    return all(p.state == 6 for p in sim.processes.values())
 
 
 def _end_only_clash(event, pending) -> bool:
@@ -293,7 +284,8 @@ def execute_join(sim: Simulation, parent_index: int, max_wait: int = 64) -> Join
 
     The parent picks the joiner's color and identity from its local knowledge
     only, announces them in its own steady-state slot, and the joiner adopts
-    them on reception.
+    them on reception.  set_topology re-arms the parent, whose pending
+    announcement is set here, outside its handlers.
     """
     parent = sim.processes[parent_index]
     if not isinstance(parent, ParProcess) or parent.state != 6:
@@ -324,6 +316,8 @@ def execute_join(sim: Simulation, parent_index: int, max_wait: int = 64) -> Join
     parent.neighbor_ids = frozenset(parent.neighbor_ids | {new_id})
     parent.degree += 1
     parent.pending_new = (color, delta, new_id)
+    # a later join under the same parent must see this color as taken
+    parent.assigned_pairs[new_id] = color
     sim.set_topology(extended, {joiner_index: joiner})
 
     for _ in range(max_wait):

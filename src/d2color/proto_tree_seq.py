@@ -110,10 +110,6 @@ class SeqProcess(Process):
     def may_act(self) -> bool:
         return self.state in (1, 3)
 
-    @property
-    def terminal(self) -> bool:
-        return self.state == 4
-
 
 def make_simulation(
     topology: Topology,

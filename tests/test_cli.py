@@ -1,3 +1,5 @@
+import pytest
+
 from d2color.cli import main
 from d2color.topology import load_topology
 
@@ -109,6 +111,12 @@ class TestRunAndVerify:
                        "--root", "2", "--join-parent", "3") == 0
         assert "join: process 4" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("parent", ["0", "9"])
+    def test_out_of_range_join_parent_is_usage_error(self, parent, capsys):
+        assert run_cli("run", "--builtin", "path3", "--protocol", "par_tree",
+                       "--root", "2", "--join-parent", parent) == 3
+        assert capsys.readouterr().err == "join parent must be in 1..3\n"
+
     def test_join_to_saturated_parent_exits_2(self, tmp_path, capsys):
         topo_path = tmp_path / "p.topo"
         run_cli("gen", "--builtin", "path3", "-o", str(topo_path))
@@ -150,6 +158,13 @@ class TestBench:
             fields = line.split("\t")
             assert fields[-1] == "yes"
             assert float(fields[-2]) <= 4.0
+
+    @pytest.mark.parametrize("option,value", [("--sizes", "1x"), ("--seeds", "a")])
+    def test_malformed_integer_list_is_usage_error(self, option, value, capsys):
+        assert run_cli("bench", option, value) == 3
+        err = capsys.readouterr().err
+        assert f"{option}: expected comma-separated integers, got '{value}'" in err
+        assert "Traceback" not in err
 
     def test_unknown_protocol_is_usage_error(self, capsys):
         assert run_cli("bench", "--sizes", "10", "--protocols", "par_tree,nope") == 3

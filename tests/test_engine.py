@@ -11,6 +11,7 @@ from d2color.engine import (
     recheck_clashes,
 )
 from d2color.messages import Start, TermSeq
+from d2color.proto_tree_seq import SeqProcess
 from d2color.proto_tree_seq import make_simulation as make_seq
 from d2color.scenarios import builtin_topology
 from d2color.topology import build_topology
@@ -27,11 +28,16 @@ class Beacon(Process):
 
     def on_clock(self, clock):
         if clock in self.rounds:
+            self.rounds.discard(clock)
             return TermSeq(0, self.ident, 0, 0)
         return None
 
     def on_message(self, msg):
         self.received.append(msg)
+
+    @property
+    def may_act(self):
+        return bool(self.rounds)
 
 
 def beacon_sim(topology, schedule, policy="fail_fast"):
@@ -192,10 +198,25 @@ class TestRunLoop:
         assert trace.rounds == 0
 
     def test_partial_on_quiescence(self):
+        # round 0 carries the broadcast; round 1 is the first quiet one
         sim = beacon_sim(line4(), {2: [0]})
         trace = sim.run(1000)
         assert trace.status == "partial"
-        assert trace.rounds < 1000
+        assert trace.rounds == 2
+
+    def test_clock_ticks_only_where_a_process_may_act(self, monkeypatch):
+        calls = []
+        on_clock = SeqProcess.on_clock
+
+        def counted(self, clock):
+            calls.append(self.index)
+            return on_clock(self, clock)
+
+        monkeypatch.setattr(SeqProcess, "on_clock", counted)
+        trace = make_seq(builtin_topology("binary15"), 1).run(1000)
+        # one call per broadcast, plus the root's call that claims termination
+        assert len(trace.broadcasts) == 28
+        assert len(calls) == len(trace.broadcasts) + 1
 
     def test_terminated(self):
         sim = make_seq(builtin_topology("path3"), 1)

@@ -76,6 +76,19 @@ class TestJoin:
         j.on_external(New(cl=0, delta=2, new_id=9), clock=12)
         assert j.joined and j.color == 0 and j.max_nb_cl == 3
 
+    def test_second_join_under_one_parent_gets_a_fresh_color(self):
+        # each join sets the parent's announcement outside its handlers;
+        # set_topology must re-arm it, or the announcement is never sent
+        topo = build_topology([(1, 2), (1, 3), (1, 4), (4, 5), (4, 6), (4, 7), (2, 8)],
+                              kind="tree")
+        sim = completed_sim(topo, 1)
+        first = execute_join(sim, 3)
+        second = execute_join(sim, 3)
+        assert first.color != second.color
+        colors = sim.trace.final_colors()
+        assert len(colors) == second.topology.n == 10
+        assert d2_conflicts(second.topology, colors) == []
+
     def test_seeded_joins_reverify(self):
         rng = random.Random(99)
         done = 0
