@@ -97,8 +97,11 @@ def cmd_gen(args) -> int:
 
 
 def cmd_run(args) -> int:
-    topology = _load_source(args)
     protocol = PROTOCOLS[args.protocol]
+    if args.join_parent is not None and protocol.module is not proto_tree_par:
+        print("--join-parent needs --protocol par_tree", file=sys.stderr)
+        return 3
+    topology = _load_source(args)
     if protocol.trees_only and topology.kind != "tree":
         print("tree protocols require a tree topology", file=sys.stderr)
         return 3

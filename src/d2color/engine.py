@@ -106,8 +106,9 @@ class Trace:
             out[ch.proc] = ch.state
         return out
 
-    def final_colors(self) -> dict[int, int]:
-        return {proc: state["color"] for proc, state in self.final_states().items()
+    def final_colors(self, finals: dict[int, dict] | None = None) -> dict[int, int]:
+        finals = self.final_states() if finals is None else finals
+        return {proc: state["color"] for proc, state in finals.items()
                 if state.get("color") is not None}
 
     def max_broadcasts_per_round(self) -> int:

@@ -7,6 +7,7 @@ Palettes enumerate non-negative integers only, so -1 can never be selected.
 from __future__ import annotations
 
 import math
+import typing
 from dataclasses import dataclass, fields
 
 @dataclass(frozen=True)
@@ -135,6 +136,26 @@ def first_free_color(excluded) -> int:
 def message_fields(msg: Message) -> list[tuple[str, object]]:
     """Stable (name, value) pairs for serialization."""
     return [(f.name, getattr(msg, f.name)) for f in fields(msg)]
+
+
+_BY_KIND = {cls.kind: cls for cls in typing.get_args(Message)}
+
+
+def make_message(kind: str, named: dict) -> Message:
+    """The message of this kind from its named field values, as message_fields gives them.
+
+    Lists, and lists inside them, become the tuples a message holds.
+    """
+    cls = _BY_KIND.get(kind)
+    if cls is None:
+        raise ValueError(f"unknown message kind {kind!r}")
+    return cls(**{name: _tuples(value) for name, value in named.items()})
+
+
+def _tuples(value):
+    if not isinstance(value, list):
+        return value
+    return tuple(tuple(v) if isinstance(v, list) else v for v in value)
 
 
 def color_seq_bits(msg: ColorSeq, n: int, delta: int) -> int:

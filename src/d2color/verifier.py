@@ -232,9 +232,10 @@ def seq_knowledge_violations(
     return sorted(out)
 
 
-def par_edge_color_violations(topology: Topology, trace: Trace) -> list[tuple[int, int]]:
+def par_edge_color_violations(topology: Topology, trace: Trace,
+                              finals=None) -> list[tuple[int, int]]:
     """Parent/child edges whose child color exceeds the parent's degree."""
-    finals = trace.final_states()
+    finals = trace.final_states() if finals is None else finals
     out = []
     for i, st in finals.items():
         parent_id = st.get("parent")
@@ -253,9 +254,9 @@ def par_edge_color_violations(topology: Topology, trace: Trace) -> list[tuple[in
     return out
 
 
-def end_wave_violations(trace: Trace, delta: int) -> list[int]:
+def end_wave_violations(trace: Trace, delta: int, finals=None) -> list[int]:
     """Processes that did not finish at state 6 knowing delta+1 colors."""
-    finals = trace.final_states()
+    finals = trace.final_states() if finals is None else finals
     return sorted(
         i
         for i, st in finals.items()
@@ -268,9 +269,9 @@ def _sequential_flow(trace: Trace) -> BoundCheck:
     return BoundCheck("sequential_flow", 1, worst, worst <= 1)
 
 
-def _seq_bounds(trace: Trace, topology: Topology, mets: GraphMetrics) -> list[BoundCheck]:
+def _seq_bounds(trace: Trace, topology: Topology, mets: GraphMetrics, counts: dict,
+                finals: dict) -> list[BoundCheck]:
     delta = mets.delta
-    counts = trace.broadcast_counts()
     n = topology.n
     checks = []
     term = counts.get("TERM_SEQ", 0)
@@ -292,15 +293,15 @@ def _seq_bounds(trace: Trace, topology: Topology, mets: GraphMetrics) -> list[Bo
     else:
         checks.append(BoundCheck("seq_color_count", 0, color, color == 0, note="singleton"))
     checks.append(_sequential_flow(trace))
-    max_d = trace.final_states().get(trace.claimed_by, {}).get("max_d")
+    max_d = finals.get(trace.claimed_by, {}).get("max_d")
     checks.append(BoundCheck("root_learned_delta", delta, -1 if max_d is None else max_d,
                              max_d == delta))
     return checks
 
 
-def _par_bounds(trace: Trace, topology: Topology, mets: GraphMetrics) -> list[BoundCheck]:
+def _par_bounds(trace: Trace, topology: Topology, mets: GraphMetrics, counts: dict,
+                finals: dict) -> list[BoundCheck]:
     delta, depth = mets.delta, mets.depth
-    counts = trace.broadcast_counts()
     n = topology.n
     checks = []
     coloring_phase = counts.get("COLOR_PAR", 0) + counts.get("TERM_PAR", 0)
@@ -320,20 +321,16 @@ def _par_bounds(trace: Trace, topology: Topology, mets: GraphMetrics) -> list[Bo
     else:
         checks.append(BoundCheck("par_completion_round", 0, observed, claim is not None,
                                  note="singleton, bound vacuous"))
-    edge_bad = par_edge_color_violations(topology, trace)
+    edge_bad = par_edge_color_violations(topology, trace, finals)
     checks.append(BoundCheck("par_child_color_range", 0, len(edge_bad), not edge_bad))
     if trace.meta.get("end_phase"):
-        stuck = end_wave_violations(trace, delta)
+        stuck = end_wave_violations(trace, delta, finals)
         checks.append(BoundCheck("par_end_wave", 0, len(stuck), not stuck))
     return checks
 
 
-def _arb_bounds(trace: Trace, topology: Topology, mets: GraphMetrics) -> list[BoundCheck]:
-    return [_sequential_flow(trace)]
-
-
 class Promise(NamedTuple):
-    bounds: Callable[[Trace, Topology, GraphMetrics], list[BoundCheck]]
+    bounds: Callable[[Trace, Topology, GraphMetrics, dict, dict], list[BoundCheck]]
     colors_within_delta: bool  # validity: every color lies in 0..delta
 
 
@@ -342,16 +339,15 @@ class Promise(NamedTuple):
 PROMISES = {
     "seq_tree": Promise(_seq_bounds, True),
     "par_tree": Promise(_par_bounds, True),
-    "arbitrary": Promise(_arb_bounds, False),
+    "arbitrary": Promise(lambda trace, *_: [_sequential_flow(trace)], False),
 }
 
 
-def check_bounds(trace: Trace, topology: Topology) -> list[BoundCheck]:
-    """Per-protocol count/round/size bound checks from a finished trace."""
+def check_bounds(trace: Trace, topology: Topology, mets: GraphMetrics, counts: dict,
+                 finals: dict) -> list[BoundCheck]:
+    """Per-protocol bound checks, given the metrics, broadcast counts and final states."""
     promise = PROMISES.get(trace.meta.get("protocol"))
-    if promise is None:
-        return []
-    return promise.bounds(trace, topology, metrics(topology, int(trace.meta.get("root", 1))))
+    return [] if promise is None else promise.bounds(trace, topology, mets, counts, finals)
 
 
 def verify_run(topology: Topology, trace: Trace) -> VerificationReport:
@@ -360,14 +356,15 @@ def verify_run(topology: Topology, trace: Trace) -> VerificationReport:
     root = int(trace.meta.get("root", 1))
     mets = metrics(topology, root)
     delta = mets.delta
-    colors = trace.final_colors()
+    finals = trace.final_states()
+    colors = trace.final_colors(finals)
     all_colored = len(colors) == topology.n
     promise = PROMISES.get(protocol)
     validity_ok, validity_off, consistency_ok, consistency_off = check_coloring(
         topology, colors, delta, promise is not None and promise.colors_within_delta
     )
     counts = trace.broadcast_counts()
-    checks = check_bounds(trace, topology)
+    checks = check_bounds(trace, topology, mets, counts, finals)
     tdma = 0
     if all_colored and consistency_ok:
         tdma = tdma_replay(topology, colors, delta)

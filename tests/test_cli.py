@@ -1,6 +1,6 @@
 import pytest
 
-from d2color.cli import main
+from d2color.cli import PROTOCOLS, main
 from d2color.topology import load_topology
 
 
@@ -117,6 +117,18 @@ class TestRunAndVerify:
                        "--root", "2", "--join-parent", parent) == 3
         assert capsys.readouterr().err == "join parent must be in 1..3\n"
 
+    @pytest.mark.parametrize("protocol,builtin", [("seq_tree", "path3"), ("arbitrary", "table1")])
+    def test_join_parent_without_par_tree_is_usage_error(self, protocol, builtin, capsys,
+                                                         monkeypatch):
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("a simulation was built")
+        monkeypatch.setattr(PROTOCOLS[protocol].module, "make_simulation", no_simulation)
+        assert run_cli("run", "--builtin", builtin, "--protocol", protocol,
+                       "--join-parent", "3") == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "--join-parent needs --protocol par_tree\n"
+
     def test_join_to_saturated_parent_exits_2(self, tmp_path, capsys):
         topo_path = tmp_path / "p.topo"
         run_cli("gen", "--builtin", "path3", "-o", str(topo_path))
@@ -135,6 +147,28 @@ class TestRunAndVerify:
         assert run_cli("verify", "--trace", str(trace_path),
                        "--topology", str(grown_path)) == 0
         assert "overall=pass" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("tag,damage", [
+        ("B", lambda line: line[:len(line) // 2]),
+        ("S", lambda line: line.replace("state={", "state={x")),
+        ("S", lambda line: line.replace("round=", "round=x", 1)),
+        ("S", lambda line: line.replace(" proc=", " ", 1)),
+    ])
+    def test_malformed_trace_is_usage_error_naming_the_line(self, tmp_path, capsys, tag, damage):
+        topo_path = tmp_path / "star.topo"
+        trace_path = tmp_path / "star.trace"
+        run_cli("gen", "--builtin", "star4", "-o", str(topo_path))
+        run_cli("run", "--topology", str(topo_path), "--protocol", "par_tree",
+                "--trace-out", str(trace_path))
+        lines = trace_path.read_text().splitlines()
+        k = next(i for i, line in enumerate(lines) if line.startswith(tag + " "))
+        lines[k] = damage(lines[k])
+        trace_path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert run_cli("verify", "--trace", str(trace_path), "--topology", str(topo_path)) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(f"cannot load inputs: line {k + 1}: ")
 
     def test_byte_identical_reruns(self, tmp_path):
         topo_path = tmp_path / "t.topo"

@@ -1,8 +1,12 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import run_par, run_seq
+from d2color import traceio
 from d2color.scenarios import TABLE1_NEXT_SCHEDULE, builtin_topology
 from d2color.proto_arbitrary import make_simulation as make_arb
+from d2color.topology import generate_random_tree
 from d2color.traceio import TraceFormatError, parse_trace, read_trace, trace_to_text, write_trace
 from d2color.verifier import verify_run
 
@@ -12,6 +16,11 @@ def traces():
     yield builtin_topology("path3"), run_seq(builtin_topology("path3"), 1)
     t = builtin_topology("table1")
     yield t, make_arb(t, 1, next_schedule=TABLE1_NEXT_SCHEDULE).run(200)
+
+
+# every line tag: X, B, S, and the C lines of the END collisions this relaxed mode records
+CLASHING = trace_to_text(run_par(generate_random_tree(45, 5, seed=6), 1, sibling_end_parallel=True,
+                                 policy="record_and_corrupt")).splitlines()
 
 
 class TestRoundTrip:
@@ -35,6 +44,23 @@ class TestRoundTrip:
         assert loaded.final_colors() == trace.final_colors()
         assert loaded.broadcast_counts() == trace.broadcast_counts()
         assert loaded.meta == trace.meta
+
+    def test_streamed_paths_match_the_text_paths(self, tmp_path):
+        for k, (_, trace) in enumerate(traces()):
+            path = tmp_path / f"{k}.trace"
+            write_trace(trace, str(path))
+            text = trace_to_text(trace)
+            assert path.read_bytes() == text.encode("utf-8")
+            assert read_trace(str(path)) == parse_trace(text)
+            path.write_bytes(text.replace("\n", "\r\n").encode("utf-8"))
+            assert read_trace(str(path)) == parse_trace(text)
+
+    def test_lines_span_batches(self):
+        # more lines than one batch decodes, so the records of several batches join up
+        topo = generate_random_tree(1200, 5, seed=3)
+        text = trace_to_text(run_par(topo, 1))
+        assert len(text.splitlines()) > 2 * traceio._BATCH
+        assert trace_to_text(parse_trace(text)) == text
 
     def test_status_line_fields(self):
         topo = builtin_topology("path3")
@@ -60,3 +86,47 @@ class TestMalformedInput:
     def test_unknown_message_kind(self):
         with pytest.raises(TraceFormatError):
             parse_trace("format=d2trace/1\nX round=0 target=1 kind=BOGUS\n")
+
+    def test_error_names_the_line(self):
+        with pytest.raises(TraceFormatError, match=r"^line 3: unknown trace line tag 'Z'$"):
+            parse_trace("format=d2trace/1\nmeta={}\nZ round=0\n")
+
+    def test_bytes_that_are_not_utf8_name_their_line(self, tmp_path):
+        path = tmp_path / "bad.trace"
+        path.write_bytes(b'format=d2trace/1\nmeta={}\nS round=0 proc=1 state={"a":"\xff"}\n')
+        with pytest.raises(TraceFormatError, match=r"^line 3: "):
+            read_trace(str(path))
+
+    @pytest.mark.parametrize("damage", [
+        lambda line: line[:len(line) // 2] if line.startswith("B ") else line,  # truncated B
+        lambda line: line.replace("state={", "state={x") if line.startswith("S ") else line,
+        lambda line: line.replace("round=", "round=x", 1) if line.startswith("S ") else line,
+        lambda line: line.replace(" proc=", " pro=") if line.startswith("S ") else line,
+        lambda line: " ".join(line.split(" ")[:-1]) if line.startswith("C ") else line,
+        lambda line: line.replace("kind=", "kind=BOGUS", 1) if line.startswith("X ") else line,
+    ])
+    def test_first_damaged_line_is_named(self, damage):
+        lines = list(CLASHING)
+        k = next(i for i, line in enumerate(lines) if damage(line) != line)
+        lines[k] = damage(lines[k])
+        with pytest.raises(TraceFormatError, match=rf"^line {k + 1}: "):
+            parse_trace("\n".join(lines))
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_damaged_line_parses_or_is_named(self, data):
+        lines = list(CLASHING)
+        k = data.draw(st.integers(0, len(lines) - 1), label="line index")
+        line = lines[k]
+        start = data.draw(st.integers(0, len(line)), label="start")
+        if data.draw(st.booleans(), label="truncate"):
+            lines[k] = line[:start]
+        else:
+            # no line breaks, so the damage stays on one line
+            text = st.text(st.characters(exclude_categories=("Cc", "Cs", "Zl", "Zp")), max_size=4)
+            end = data.draw(st.integers(start, min(len(line), start + 4)), label="end")
+            lines[k] = line[:start] + data.draw(text, label="inserted") + line[end:]
+        try:
+            parse_trace("\n".join(lines) + "\n")
+        except TraceFormatError as exc:
+            assert str(exc).startswith(f"line {k + 1}: ")
