@@ -13,20 +13,23 @@ report format, and that change says so.
 from __future__ import annotations
 
 import hashlib
+import random
 
 import pytest
 
 from d2color import cli, proto_arbitrary, proto_tree_par, proto_tree_seq
 from d2color.scenarios import TABLE1_NEXT_SCHEDULE, builtin_topology
 from d2color.topology import (
+    assign_identities,
     build_topology,
     generate_random_connected,
     generate_random_tree,
+    graph_distance,
     metrics,
     save_topology,
 )
 from d2color.traceio import trace_to_text
-from d2color.verifier import verify_run
+from d2color.verifier import greedy_reference_coloring, verify_run
 
 
 def _sha(text: str) -> str:
@@ -178,3 +181,90 @@ def test_bench_sweep_digest(capsys):
     text = _cli(capsys, "bench", "--sizes", "12,30", "--seeds", "0,1", "--max-degree", "4",
                 "--protocols", "seq_tree,par_tree,arbitrary")
     assert _sha(text) == BENCH_DIGEST
+
+
+# Graph walks: identity assignment, metrics, the greedy reference coloring and
+# hop distances.  Each scenario renders one text; the identities with reuse
+# consume the seeded shuffle of a breadth-first walk, so a reordered walk
+# changes them even when every identity stays valid.
+def _walk_trees():
+    """Trees shaped like the acceptance corpus (3 <= n <= 500, cap 2..12)."""
+    rng = random.Random(20260810)
+    return [generate_random_tree(rng.randint(3, 500), rng.randint(2, 12), seed=20260810 + k)
+            for k in range(12)]
+
+
+def _walk_graphs():
+    return [generate_random_connected(n, extra, seed)
+            for n, extra, seed in ((6, 2, 0), (14, 3, 1), (30, 8, 2), (60, 25, 3), (120, 4, 4))]
+
+
+def _identities_text():
+    sources = [generate_random_tree(n, cap, seed)
+               for n, cap, seed in ((5, 2, 0), (40, 4, 1), (120, 6, 2), (300, 12, 3))]
+    sources.append(generate_random_connected(50, 20, seed=7))
+    lines = []
+    for k, topo in enumerate(sources):
+        for mode in ("global_unique", "distance2_unique_with_reuse"):
+            for seed in (0, 1, 3, 11):
+                ids = assign_identities(topo, mode, seed).identities[1:]
+                lines.append(f"{k} {mode} {seed} {' '.join(map(str, ids))}")
+    return "\n".join(lines)
+
+
+def _metrics_text():
+    lines = []
+    for k, topo in enumerate(_walk_trees() + _walk_graphs()):
+        for root in sorted({1, 2, topo.n // 2 + 1, topo.n}):
+            mets = metrics(topo, root)
+            lines.append(f"{k} {root} delta={mets.delta} depth={mets.depth}")
+    return "\n".join(lines)
+
+
+def _greedy_text():
+    lines = []
+    for topo in _walk_trees()[:6] + _walk_graphs() + [builtin_topology("table1")]:
+        colors = greedy_reference_coloring(topo).colors
+        lines.append(" ".join(f"{i}:{colors[i]}" for i in sorted(colors)))
+    return "\n".join(lines)
+
+
+def _table1_distances_text():
+    topo = builtin_topology("table1")
+    return "\n".join(" ".join(str(graph_distance(topo, a, b)) for b in range(1, topo.n + 1))
+                     for a in range(1, topo.n + 1))
+
+
+WALKS = {
+    "assign_identities": _identities_text,
+    "metrics": _metrics_text,
+    "greedy_reference_colors": _greedy_text,
+    "table1_distances": _table1_distances_text,
+}
+
+WALK_DIGESTS = {
+    "assign_identities":
+        "f9866bb1e7b5d0b468b5a567dc11c893ab68b0c79058355782061ba234a076d8",
+    "greedy_reference_colors":
+        "e495310192f63c61734924c6352f660c647c4613719160a96b28798ec7bd1b47",
+    "metrics":
+        "9f7125dca0010cbec5eb9b3ffb7504de673c37c8fff3c27bd870659a6b49da88",
+    "table1_distances":
+        "89811ef2ff668b563affd70f1eaaf63fc77de093ee20276d33fd3ae63bf5e8ce",
+}
+
+
+@pytest.mark.parametrize("name", sorted(WALKS))
+def test_graph_walk_digest(name):
+    assert _sha(WALKS[name]()) == WALK_DIGESTS[name]
+
+
+GEN_REUSE_DIGEST = "4bc53add8193cd5cd04af334845653d130924431f41c77e2c17f41de3f5c2f3b"
+
+
+def test_cli_gen_reused_identities_digest(tmp_path, capsys):
+    out = tmp_path / "gen.topo"
+    text = _cli(capsys, "gen", "--n", "40", "--seed", "3",
+                "--identity-mode", "distance2_unique_with_reuse", "-o", str(out))
+    text = text.replace(str(out), "F") + out.read_text()
+    assert _sha(text) == GEN_REUSE_DIGEST
