@@ -182,8 +182,7 @@ def cmd_bench(args) -> int:
     for n in args.sizes:
         for seed in args.seeds:
             topo = generate_random_tree(n, args.max_degree, seed)
-            degs = [topo.degree(i) for i in range(1, n + 1)]
-            root = degs.index(max(degs)) + 1
+            root = max(range(1, n + 1), key=topo.degree)
             mets = metrics(topo, root)
             budget = auto_budget(n, mets.delta)
             for proto in protocols:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .engine import FAIL_FAST, Process, ProtocolViolation, Simulation, start_simulation
 from .messages import ColorPar, End, New, Start, TermPar, first_free_color
-from .topology import Topology, build_topology, metrics
+from .topology import Topology, build_topology
 from .verifier import d2_conflicts
 
 
@@ -342,8 +342,7 @@ def merge_trees(
     for distance-2 consistency and the merge is rejected when the seam breaks
     it, instead of silently producing an inconsistent network.
     """
-    d1 = metrics(t1, 1).delta
-    d2 = metrics(t2, 1).delta
+    d1, d2 = t1.delta, t2.delta
     if d1 != d2:
         raise DegreeMismatch(f"max degrees differ: {d1} vs {d2}")
     if t1.degree(x) >= d1:

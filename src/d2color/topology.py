@@ -4,6 +4,10 @@ Processes are addressed by 1-based index (a bookkeeping handle that is never
 put on the wire) and carry an identity (a non-negative integer that *is*
 transmitted).  Identities must be pairwise distinct within every closed
 2-neighborhood; beyond two hops they may repeat.
+
+Two primitives walk the graph: `bfs` gives hop distances in visiting order
+(reachability, depth, distances, identity and greedy color order), and
+`two_hop` gives the processes within two hops of one process.
 """
 
 from __future__ import annotations
@@ -45,7 +49,6 @@ class GraphMetrics:
 
     delta: int
     depth: int
-    per_process_degree: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -132,12 +135,13 @@ def build_topology(
     if kind == "tree" and len(seen) != n - 1:
         raise NotATree(f"tree on {n} processes needs {n - 1} edges, got {len(seen)}")
 
-    reached = _bfs_reach(adj, 1, n)
-    if len(reached) != n:
+    frozen = tuple(tuple(sorted(s)) for s in adj)
+    reached = len(bfs(frozen, 1))
+    if reached != n:
         if kind == "tree":
             # n-1 edges but disconnected implies a cycle somewhere
             raise NotATree("edge count matches a tree but the graph contains a cycle")
-        raise DisconnectedGraph(f"only {len(reached)} of {n} processes reachable")
+        raise DisconnectedGraph(f"only {reached} of {n} processes reachable")
 
     if identities is None:
         ident = tuple(range(n + 1))
@@ -148,7 +152,6 @@ def build_topology(
             raise TopologyError("identities must be non-negative")
         ident = (0,) + tuple(identities)
 
-    frozen = tuple(tuple(sorted(s)) for s in adj)
     topo = Topology(n=n, adjacency=frozen, identities=ident, kind=kind)
     validate_identities(topo)
     return topo
@@ -232,51 +235,63 @@ def assign_identities(topology: Topology, mode: str, seed: int = 0) -> Topology:
 
     rng = random.Random(seed)
     start = rng.randrange(1, topology.n + 1)
-    order = _bfs_order(topology, start, shuffle=rng)
     ids = [0] * (topology.n + 1)
-    done = [False] * (topology.n + 1)
-    for v in order:
-        # identities start at 1
-        ids[v] = first_free_color({0} | {ids[u] for u in _two_hop(topology, v) if done[u]})
-        done[v] = True
+    for v in bfs(topology.adjacency, start, shuffle=rng):
+        # identities start at 1; 0 also stands for "not assigned yet"
+        ids[v] = first_free_color({0} | {ids[u] for u in two_hop(topology, v)})
     return build_topology(
         topology.edges(), identities=ids[1:], kind=topology.kind, n=topology.n
     )
 
 
-def graph_distance(topology: Topology, a: int, b: int) -> int:
-    """BFS hop count between two process indices."""
-    if a == b:
-        return 0
-    dist = {a: 0}
-    queue = deque([a])
+def bfs(
+    adjacency: tuple[tuple[int, ...], ...], start: int, shuffle: random.Random | None = None
+) -> dict[int, int]:
+    """Hop distance from start to every reachable index, in visiting order.
+
+    With shuffle, each visited process's neighbor list is shuffled, in
+    visiting order, before it is scanned.
+    """
+    dist = {start: 0}
+    queue = deque([start])
     while queue:
         v = queue.popleft()
-        for u in topology.adjacency[v]:
+        nbrs = adjacency[v]
+        if shuffle is not None:
+            nbrs = list(nbrs)
+            shuffle.shuffle(nbrs)
+        hops = dist[v] + 1
+        for u in nbrs:
             if u not in dist:
-                dist[u] = dist[v] + 1
-                if u == b:
-                    return dist[u]
+                dist[u] = hops
                 queue.append(u)
-    raise DisconnectedGraph(f"no path between {a} and {b}")
+    return dist
+
+
+def two_hop(topology: Topology, v: int) -> set[int]:
+    """Every process within two hops of v, v excluded."""
+    out = set()
+    for u in topology.adjacency[v]:
+        out.add(u)
+        out.update(topology.adjacency[u])
+    out.discard(v)
+    return out
+
+
+def graph_distance(topology: Topology, a: int, b: int) -> int:
+    """BFS hop count between two process indices."""
+    dist = bfs(topology.adjacency, a)
+    if b not in dist:
+        raise DisconnectedGraph(f"no path between {a} and {b}")
+    return dist[b]
 
 
 def metrics(topology: Topology, root: int) -> GraphMetrics:
-    """Exact max degree, per-process degrees, and BFS depth from root."""
-    degs = tuple(len(topology.adjacency[i]) for i in range(1, topology.n + 1))
-    depth = 0
-    dist = {root: 0}
-    queue = deque([root])
-    while queue:
-        v = queue.popleft()
-        for u in topology.adjacency[v]:
-            if u not in dist:
-                dist[u] = dist[v] + 1
-                depth = max(depth, dist[u])
-                queue.append(u)
+    """Exact max degree and BFS depth from root."""
+    dist = bfs(topology.adjacency, root)
     if len(dist) != topology.n:
         raise DisconnectedGraph("metrics requires a connected topology")
-    return GraphMetrics(delta=max(degs, default=0), depth=depth, per_process_degree=degs)
+    return GraphMetrics(delta=topology.delta, depth=max(dist.values()))
 
 
 def save_topology(topology: Topology, path: str) -> None:
@@ -323,40 +338,3 @@ def load_topology(path: str) -> Topology:
         raise TopologyError("topology file missing the n field")
     return build_topology(edges, identities=identities, kind=kind, n=n)
 
-
-def _bfs_reach(adj: list[set[int]], start: int, n: int) -> set[int]:
-    reached = {start}
-    queue = deque([start])
-    while queue:
-        v = queue.popleft()
-        for u in adj[v]:
-            if u not in reached:
-                reached.add(u)
-                queue.append(u)
-    return reached
-
-
-def _bfs_order(topology: Topology, start: int, shuffle: random.Random | None = None) -> list[int]:
-    order = [start]
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        v = queue.popleft()
-        nbrs = list(topology.adjacency[v])
-        if shuffle is not None:
-            shuffle.shuffle(nbrs)
-        for u in nbrs:
-            if u not in seen:
-                seen.add(u)
-                order.append(u)
-                queue.append(u)
-    return order
-
-
-def _two_hop(topology: Topology, v: int) -> set[int]:
-    out = set()
-    for u in topology.adjacency[v]:
-        out.add(u)
-        out.update(topology.adjacency[u])
-    out.discard(v)
-    return out

@@ -7,14 +7,13 @@ protocol bug cannot hide itself.
 
 from __future__ import annotations
 
-from collections import deque
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .engine import Trace, detect_clashes, recheck_clashes
 from .messages import color_seq_bits, color_seq_bits_bound, first_free_color
-from .topology import GraphMetrics, Topology, metrics
+from .topology import GraphMetrics, Topology, bfs, metrics, two_hop
 
 ROUND_BOUND_FACTOR = 4  # frozen headroom multiplier for the d*delta round bound
 
@@ -155,25 +154,8 @@ def check_coloring(
 def greedy_reference_coloring(topology: Topology) -> Coloring:
     """Centralized BFS-greedy distance-2 coloring; a baseline, not an optimum."""
     colors: dict[int, int] = {}
-    order = []
-    seen = {1}
-    queue = deque([1])
-    while queue:
-        v = queue.popleft()
-        order.append(v)
-        for u in topology.neighbors(v):
-            if u not in seen:
-                seen.add(u)
-                queue.append(u)
-    for v in order:
-        used = set()
-        for u in topology.neighbors(v):
-            if u in colors:
-                used.add(colors[u])
-            for w in topology.neighbors(u):
-                if w != v and w in colors:
-                    used.add(colors[w])
-        colors[v] = first_free_color(used)
+    for v in bfs(topology.adjacency, 1):
+        colors[v] = first_free_color({colors[u] for u in two_hop(topology, v) if u in colors})
     return Coloring.from_colors(colors)
 
 

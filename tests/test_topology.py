@@ -165,7 +165,6 @@ class TestDistanceAndMetrics:
         m = metrics(topo, 1)
         assert m.delta == 4
         assert m.depth == 1
-        assert m.per_process_degree == (4, 1, 1, 1, 1)
 
     def test_path4_from_end(self):
         topo = build_topology([(1, 2), (2, 3), (3, 4)], kind="tree")
