@@ -76,7 +76,6 @@ class ParProcess(Process):
         self.sender_cl: int | None = None
         self.to_color: set[int] = set()
         self.color: int | None = None
-        self.colored = False
         self.assigned_pairs: dict[int, int] = {}
         self.end_phase = end_phase
         self.root_always_ends = root_always_ends
@@ -91,7 +90,7 @@ class ParProcess(Process):
 
     def on_message(self, msg):
         if isinstance(msg, ColorPar):
-            if self.colored:
+            if self.color is not None:
                 return
             pairs = dict(msg.pairs)
             if self.ident not in pairs:
@@ -133,7 +132,6 @@ class ParProcess(Process):
         self.color = pairs[self.ident]
         self.nb_cl_parent = msg.nb_cl_parent
         self.state = 1 if self.to_color else 3
-        self.colored = True
         self.dirty = True
 
     def on_clock(self, clock):

@@ -35,7 +35,6 @@ class SeqProcess(Process):
         self.to_color: set[int] = set(neighbor_ids)
         self.color: int | None = None
         self.max_d = self.degree
-        self.colored = False
         self.next_child_order = next_child_order
         self.rng = rng
 
@@ -48,7 +47,7 @@ class SeqProcess(Process):
         if isinstance(msg, ColorSeq):
             if msg.dest != self.ident:
                 return
-            if self.colored:
+            if self.color is not None:
                 raise ProtocolViolation(f"process {self.ident} colored twice")
             self._accept_color(msg)
         elif isinstance(msg, TermSeq):
@@ -73,7 +72,6 @@ class SeqProcess(Process):
         self.color = first_free_color(self.d1colors | set(msg.d1colors) | {msg.sender_cl})
         self.to_color = set(self.neighbor_ids) - {self.parent}
         self.state = 1 if self.to_color else 3
-        self.colored = True
         self.dirty = True
 
     def on_clock(self, clock):
