@@ -12,12 +12,15 @@ from d2color.topology import (
     NotATree,
     TopologyError,
     assign_identities,
+    bfs,
     build_topology,
+    generate_random_connected,
     generate_random_tree,
     graph_distance,
     load_topology,
     metrics,
     save_topology,
+    two_hop,
     validate_identities,
 )
 
@@ -191,6 +194,26 @@ class TestDistanceAndMetrics:
             assert dab == graph_distance(topo, b, a)
             assert dab <= graph_distance(topo, a, c) + graph_distance(topo, c, b)
 
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 14), extra=st.integers(0, 20), seed=st.integers(0, 10**6))
+    def test_walks_match_floyd_warshall_on_general_graphs(self, n, extra, seed):
+        topo = generate_random_connected(n, extra, seed)
+        procs = range(1, n + 1)
+        d = {(a, b): 0 if a == b else 1 if b in topo.neighbors(a) else n for a in procs
+             for b in procs}
+        for k in procs:
+            for a in procs:
+                for b in procs:
+                    d[a, b] = min(d[a, b], d[a, k] + d[k, b])
+        for a in procs:
+            dist = bfs(topo.adjacency, a)
+            assert dist == {b: d[a, b] for b in procs}
+            assert list(dist.values()) == sorted(dist.values())  # visiting order
+            assert two_hop(topo, a) == {b for b in procs if 1 <= d[a, b] <= 2}
+            assert metrics(topo, a).depth == max(d[a, b] for b in procs)
+            assert metrics(topo, a).delta == max(topo.degree(b) for b in procs)
+            assert [graph_distance(topo, a, b) for b in procs] == [d[a, b] for b in procs]
+
     def test_identity_invariant_large_instance(self):
         topo = generate_random_tree(2000, 6, seed=11)
         reused = assign_identities(topo, "distance2_unique_with_reuse", seed=11)
@@ -222,3 +245,4 @@ class TestTopologyFile:
         p.write_text("format=d2topology/1\nn=1\nbogus=1\n")
         with pytest.raises(TopologyError):
             load_topology(str(p))
+
