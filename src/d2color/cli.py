@@ -101,7 +101,11 @@ def cmd_run(args) -> int:
     if args.join_parent is not None and protocol.module is not proto_tree_par:
         print("--join-parent needs --protocol par_tree", file=sys.stderr)
         return 3
-    topology = _load_source(args)
+    try:
+        topology = _load_source(args)
+    except OSError as exc:
+        print(f"cannot load inputs: {exc}", file=sys.stderr)
+        return 3
     if protocol.trees_only and topology.kind != "tree":
         print("tree protocols require a tree topology", file=sys.stderr)
         return 3

@@ -309,32 +309,41 @@ def save_topology(topology: Topology, path: str) -> None:
 
 
 def load_topology(path: str) -> Topology:
-    """Parse a topology file written by save_topology."""
+    """Parse a topology file written by save_topology.
+
+    A malformed line raises TopologyError naming its 1-based number.
+    """
     n = None
     kind = "tree"
     edges: list[tuple[int, int]] = []
     identities = None
     with open(path, encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, _, value = line.partition("=")
-            if key == "format":
-                if value != "d2topology/1":
-                    raise TopologyError(f"unsupported topology format {value!r}")
-            elif key == "n":
-                n = int(value)
-            elif key == "kind":
-                kind = value
-            elif key == "edge":
-                a, b = value.split()
-                edges.append((int(a), int(b)))
-            elif key == "identities":
-                identities = [int(v) for v in value.split()]
-            else:
-                raise TopologyError(f"unknown topology field {key!r}")
+        try:
+            for num, raw in enumerate(fh, 1):
+                line = raw.strip()
+                if not line or line.startswith("#"):
+                    continue
+                key, _, value = line.partition("=")
+                if key == "format":
+                    if value != "d2topology/1":
+                        raise TopologyError(f"unsupported topology format {value!r}")
+                elif key == "n":
+                    n = int(value)
+                elif key == "kind":
+                    kind = value
+                elif key == "edge":
+                    a, b = value.split()
+                    edges.append((int(a), int(b)))
+                elif key == "identities":
+                    identities = [int(v) for v in value.split()]
+                else:
+                    raise TopologyError(f"unknown topology field {key!r}")
+        except TopologyError as exc:
+            raise TopologyError(f"line {num}: {exc}") from None
+        except UnicodeDecodeError as exc:  # the file is decoded in blocks, not lines
+            raise TopologyError(f"not UTF-8 text: {exc.reason}") from None
+        except ValueError:
+            raise TopologyError(f"line {num}: malformed {key}= value {value!r}") from None
     if n is None:
         raise TopologyError("topology file missing the n field")
     return build_topology(edges, identities=identities, kind=kind, n=n)
-

@@ -170,6 +170,32 @@ class TestRunAndVerify:
         assert err.count("\n") == 1
         assert err.startswith(f"cannot load inputs: line {k + 1}: ")
 
+    def test_missing_topology_file_is_usage_error(self, tmp_path, capsys):
+        missing = tmp_path / "missing.topo"
+        assert run_cli("run", "--topology", str(missing), "--protocol", "par_tree") == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("cannot load inputs: ") and str(missing) in err
+
+    @pytest.mark.parametrize("command", ["run", "verify"])
+    def test_malformed_edge_line_is_usage_error_naming_the_line(self, command, tmp_path, capsys):
+        topo_path = tmp_path / "p.topo"
+        trace_path = tmp_path / "p.trace"
+        run_cli("gen", "--builtin", "path3", "-o", str(topo_path))
+        run_cli("run", "--topology", str(topo_path), "--protocol", "par_tree",
+                "--root", "2", "--trace-out", str(trace_path))
+        lines = topo_path.read_text().splitlines()
+        k = next(i for i, line in enumerate(lines) if line.startswith("edge="))
+        lines[k] = "edge=1"
+        topo_path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        args = {"run": ["run", "--topology", str(topo_path), "--protocol", "par_tree"],
+                "verify": ["verify", "--trace", str(trace_path), "--topology", str(topo_path)]}
+        assert run_cli(*args[command]) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.endswith(f": line {k + 1}: malformed edge= value '1'\n")
+
     def test_byte_identical_reruns(self, tmp_path):
         topo_path = tmp_path / "t.topo"
         run_cli("gen", "--tree", "--n", "40", "--max-degree", "5", "--seed", "3",

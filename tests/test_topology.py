@@ -246,3 +246,18 @@ class TestTopologyFile:
         with pytest.raises(TopologyError):
             load_topology(str(p))
 
+    @pytest.mark.parametrize("bad", ["n=x", "n=", "edge=1", "edge=1 2 3", "edge=1 b",
+                                     "identities=1 x 3"])
+    def test_malformed_value_names_its_line(self, tmp_path, bad):
+        p = tmp_path / "bad.topo"
+        p.write_text(f"format=d2topology/1\nkind=tree\n# comment\n{bad}\nn=3\n")
+        key, _, value = bad.partition("=")
+        with pytest.raises(TopologyError) as info:
+            load_topology(str(p))
+        assert str(info.value) == f"line 4: malformed {key}= value {value!r}"
+
+    def test_bytes_that_are_not_utf8_are_a_topology_error(self, tmp_path):
+        p = tmp_path / "bad.topo"
+        p.write_bytes(b"format=d2topology/1\nn=2\nedge=1 2\xff\n")
+        with pytest.raises(TopologyError, match="^not UTF-8 text: "):
+            load_topology(str(p))
