@@ -210,8 +210,9 @@ class TestDistanceAndMetrics:
             assert dist == {b: d[a, b] for b in procs}
             assert list(dist.values()) == sorted(dist.values())  # visiting order
             assert two_hop(topo, a) == {b for b in procs if 1 <= d[a, b] <= 2}
-            assert metrics(topo, a).depth == max(d[a, b] for b in procs)
-            assert metrics(topo, a).delta == max(topo.degree(b) for b in procs)
+            mets = metrics(topo, a)
+            assert mets.depth == max(d[a, b] for b in procs)
+            assert mets.delta == max(topo.degree(b) for b in procs)
             assert [graph_distance(topo, a, b) for b in procs] == [d[a, b] for b in procs]
 
     def test_identity_invariant_large_instance(self):
