@@ -7,13 +7,17 @@ Exit codes: 0 success, 1 verification failure, 2 clash or protocol violation,
 from __future__ import annotations
 
 import argparse
+import contextlib
+import errno
+import os
 import sys
+from collections import Counter
 from collections.abc import Callable
 from types import ModuleType
 from typing import NamedTuple
 
 from . import proto_arbitrary, proto_tree_par, proto_tree_seq
-from .engine import ClashDetected, ProtocolViolation
+from .engine import ClashDetected, ProtocolViolation, final_colors
 from .scenarios import BUILTIN_NAMES, TABLE1_NEXT_SCHEDULE, builtin_topology
 from .topology import (
     TopologyError,
@@ -21,9 +25,11 @@ from .topology import (
     generate_random_tree,
     load_topology,
     metrics,
-    save_topology,
+    topology_text,
 )
-from .traceio import TraceFormatError, read_trace, write_trace
+# read_trace and write_trace go unused here, but benchmark/run.py hooks them on this module
+from .traceio import (TraceFormatError, TraceWriter, open_trace, read_trace,  # noqa: F401
+                      write_trace)
 from .verifier import verify_run
 
 
@@ -53,6 +59,46 @@ class _Parser(argparse.ArgumentParser):
         self.exit(3, f"{self.prog}: error: {message}\n")
 
 
+class OutputError(Exception):
+    """An output path that cannot be written."""
+
+
+class _Output:
+    """An output file, written under a sibling temporary name and moved onto its path once complete.
+
+    Entering creates the temporary file, so a path that cannot be written fails
+    before any work is done; leaving without commit() removes it and leaves
+    the path as it was.
+    """
+
+    def __init__(self, path: str):
+        self.path = path
+        self._temp = f"{path}.{os.getpid()}.tmp"
+
+    def __enter__(self) -> _Output:
+        try:
+            if os.path.isdir(self.path):
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+            self.fh = open(self._temp, "x", encoding="utf-8")
+        except OSError as exc:
+            raise OutputError(f"cannot write {self.path}: {exc.strerror or exc}") from None
+        return self
+
+    def commit(self) -> None:
+        self.fh.close()
+        os.replace(self._temp, self.path)
+
+    def __exit__(self, *exc_info) -> None:
+        self.fh.close()
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(self._temp)
+
+
+def _outputs(stack: contextlib.ExitStack, *paths):
+    """An entered _Output for each path given, None for each left out."""
+    return [stack.enter_context(_Output(path)) if path else None for path in paths]
+
+
 def _non_negative(text: str) -> int:
     value = int(text)
     if value < 0:
@@ -79,19 +125,22 @@ def auto_budget(n: int, delta: int) -> int:
 
 
 def cmd_gen(args) -> int:
-    if args.builtin:
-        topo = builtin_topology(args.builtin)
-    else:
-        topo = generate_random_tree(args.n, args.max_degree, args.seed)
-    if args.identity_mode != "default":
-        topo = assign_identities(topo, args.identity_mode, args.identity_seed)
-    if not 1 <= args.root <= topo.n:
-        print(f"root must be in 1..{topo.n}", file=sys.stderr)
-        return 3
-    mets = metrics(topo, args.root)
-    if args.out:
-        save_topology(topo, args.out)
-        print(f"wrote {args.out}")
+    with contextlib.ExitStack() as stack:
+        out, = _outputs(stack, args.out)
+        if args.builtin:
+            topo = builtin_topology(args.builtin)
+        else:
+            topo = generate_random_tree(args.n, args.max_degree, args.seed)
+        if args.identity_mode != "default":
+            topo = assign_identities(topo, args.identity_mode, args.identity_seed)
+        if not 1 <= args.root <= topo.n:
+            print(f"root must be in 1..{topo.n}", file=sys.stderr)
+            return 3
+        mets = metrics(topo, args.root)
+        if out:
+            out.fh.write(topology_text(topo))
+            out.commit()
+            print(f"wrote {args.out}")
     print(f"n={topo.n} delta={mets.delta} depth={mets.depth} kind={topo.kind}")
     return 0
 
@@ -115,46 +164,59 @@ def cmd_run(args) -> int:
             return 3
     mets = metrics(topology, args.root)
     budget = args.max_rounds if args.max_rounds is not None else auto_budget(topology.n, mets.delta)
-    sim = protocol.module.make_simulation(topology, args.root, start_round=args.start_round,
-                                          policy=args.clash_policy, **protocol.options(args))
-    try:
-        trace = sim.run(budget)
-    except ClashDetected as exc:
-        sim.trace.status = "clash"
-        sim.trace.rounds = sim.clock + 1
-        sim.trace.claimed_by = sim.claimer()
-        if args.trace_out:
-            write_trace(sim.trace, args.trace_out)
-        for ev in exc.events:
-            print(
-                f"clash round={ev.round} kind={ev.clash_kind} victim={ev.victim} "
-                f"participants={sorted(ev.participants)}",
-                file=sys.stderr,
-            )
-        return 2
-    except ProtocolViolation as exc:
-        print(f"protocol violation: {exc}", file=sys.stderr)
-        return 2
+    with contextlib.ExitStack() as stack:
+        trace_out, topology_out = _outputs(stack, args.trace_out, args.topology_out)
+        sim = protocol.module.make_simulation(topology, args.root, start_round=args.start_round,
+                                              policy=args.clash_policy, **protocol.options(args))
+        # each round is counted, and written out if asked for, as it ends; none is kept
+        writer = TraceWriter(trace_out.fh, sim.trace.meta) if trace_out else None
+        counts = Counter()
 
-    if args.join_parent is not None:
+        def sink(rnd):
+            counts.update(rec.message.kind for rec in rnd.broadcasts)
+            if writer:
+                writer.write_round(rnd)
+
+        sim.sink = sink
         try:
-            outcome = proto_tree_par.execute_join(sim, args.join_parent)
-            topology = outcome.topology
-            print(
-                f"join: process {outcome.joiner_index} id={outcome.joiner_identity} "
-                f"color={outcome.color} at round {outcome.round}"
-            )
-        except proto_tree_par.JoinError as exc:
-            print(f"join failed: {exc}", file=sys.stderr)
+            trace = sim.run(budget)
+        except ClashDetected as exc:
+            sim.trace.status = "clash"
+            sim.trace.rounds = sim.clock + 1
+            sim.trace.claimed_by = sim.claimer()
+            if writer:
+                writer.end(sim.trace)
+                trace_out.commit()
+            for ev in exc.events:
+                print(
+                    f"clash round={ev.round} kind={ev.clash_kind} victim={ev.victim} "
+                    f"participants={sorted(ev.participants)}",
+                    file=sys.stderr,
+                )
+            return 2
+        except ProtocolViolation as exc:
+            print(f"protocol violation: {exc}", file=sys.stderr)
             return 2
 
-    if args.topology_out:
-        save_topology(topology, args.topology_out)
+        if args.join_parent is not None:
+            try:
+                outcome = proto_tree_par.execute_join(sim, args.join_parent)
+                topology = outcome.topology
+                print(
+                    f"join: process {outcome.joiner_index} id={outcome.joiner_identity} "
+                    f"color={outcome.color} at round {outcome.round}"
+                )
+            except proto_tree_par.JoinError as exc:
+                print(f"join failed: {exc}", file=sys.stderr)
+                return 2
 
-    if args.trace_out:
-        write_trace(trace, args.trace_out)
-    counts = trace.broadcast_counts()
-    palette = len(set(trace.final_colors().values()))
+        if topology_out:
+            topology_out.fh.write(topology_text(topology))
+            topology_out.commit()
+        if writer:
+            writer.end(trace)
+            trace_out.commit()
+    palette = len(set(final_colors(sim.last_snapshots).values()))
     print(
         f"status={trace.status} rounds={trace.rounds} claimed_by={trace.claimed_by} "
         f"palette={palette}"
@@ -165,12 +227,13 @@ def cmd_run(args) -> int:
 
 def cmd_verify(args) -> int:
     try:
-        trace = read_trace(args.trace)
         topology = load_topology(args.topology)
+        # the trace streams through the verifier a round at a time, checked against n
+        with open_trace(args.trace, topology.n) as reader:
+            report = verify_run(topology, reader)
     except (TraceFormatError, TopologyError, OSError) as exc:
         print(f"cannot load inputs: {exc}", file=sys.stderr)
         return 3
-    report = verify_run(topology, trace)
     print(report.to_text(), end="")
     return 0 if report.ok() else 1
 
@@ -265,6 +328,9 @@ def main(argv=None) -> int:
         return args.fn(args)
     except TopologyError as exc:
         print(f"topology error: {exc}", file=sys.stderr)
+        return 3
+    except OutputError as exc:
+        print(exc, file=sys.stderr)
         return 3
 
 

@@ -13,14 +13,29 @@ The clock ticks only at processes whose may_act holds.  The engine re-reads
 may_act after each round for the processes that round touched (polled, handed
 an external message, or delivered to); state set on a process outside its
 handlers must therefore be followed by set_topology, which re-reads it for all.
+
+Each finished round goes to the simulation's sink as one Round: its external
+deliveries, broadcasts, clash events and state changes, each list in the order
+the engine made them.  The sink is called once for every round that ran, in
+increasing round order, as the last step of the round; a fail-fast clash round
+is handed over before ClashDetected is raised, and a round cut short by a
+protocol violation is never handed over.  The default sink, Trace.add_round,
+keeps every record in the simulation's Trace.  A caller that sets sim.sink to
+a function of its own (one that writes each round to a file, say) keeps none,
+and the Trace that run returns then holds only the meta and the end fields.
+last_snapshots holds the latest recorded state of every process either way.
 """
 
 from __future__ import annotations
 
+import gc
 import random
-from collections import Counter
+from collections import Counter, defaultdict
+from collections.abc import Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 from .messages import Message, New, Start
 from .topology import Topology
@@ -78,6 +93,16 @@ class StateChange:
     state: dict
 
 
+class Round(NamedTuple):
+    """The records of one round, in the order a trace file lists their tags."""
+
+    round: int
+    externals: list[ExternalRecord]
+    broadcasts: list[BroadcastRecord]
+    clashes: list[ClashEvent]
+    changes: list[StateChange]
+
+
 class RunStatus(str, Enum):
     TERMINATED = "terminated"
     PARTIAL = "partial"
@@ -97,6 +122,21 @@ class Trace:
     rounds: int = 0
     claimed_by: int | None = None
 
+    def add_round(self, rnd: Round) -> None:
+        self.externals.extend(rnd.externals)
+        self.broadcasts.extend(rnd.broadcasts)
+        self.clashes.extend(rnd.clashes)
+        self.changes.extend(rnd.changes)
+
+    def by_round(self) -> Iterator[Round]:
+        """The records grouped by round, in increasing round order, each in its list order."""
+        rounds = defaultdict(lambda: ([], [], [], []))
+        for tag, recs in enumerate((self.externals, self.broadcasts, self.clashes, self.changes)):
+            for rec in recs:
+                rounds[rec.round][tag].append(rec)
+        for t in sorted(rounds):
+            yield Round(t, *rounds.pop(t))
+
     def broadcast_counts(self) -> dict[str, int]:
         return dict(Counter(rec.message.kind for rec in self.broadcasts))
 
@@ -106,13 +146,33 @@ class Trace:
             out[ch.proc] = ch.state
         return out
 
-    def final_colors(self, finals: dict[int, dict] | None = None) -> dict[int, int]:
-        finals = self.final_states() if finals is None else finals
-        return {proc: state["color"] for proc, state in finals.items()
-                if state.get("color") is not None}
+    def final_colors(self) -> dict[int, int]:
+        return final_colors(self.final_states())
 
     def max_broadcasts_per_round(self) -> int:
         return max(Counter(rec.round for rec in self.broadcasts).values(), default=0)
+
+
+@contextmanager
+def gc_paused():
+    """Pause the cyclic garbage collector for a pass over many trace records.
+
+    The records, and the states kept from them, live long and hold no cycles;
+    collecting while they pile up would scan them again and again.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def final_colors(finals: dict[int, dict]) -> dict[int, int]:
+    """The color of each process whose final state has one."""
+    return {proc: state["color"] for proc, state in finals.items()
+            if state.get("color") is not None}
 
 
 class Process:
@@ -179,9 +239,10 @@ class Simulation:
         self.delivery_delay = delivery_delay
         self.clock = -1
         self.trace = Trace(meta=dict(meta or {}))
+        self.sink = self.trace.add_round
+        self.last_snapshots: dict[int, dict] = {}
         self._externals: dict[int, list[tuple[int, Message]]] = {}
         self._pending_inbox: dict[int, list[tuple[int, Message]]] = {}
-        self._last_snap: dict[int, dict] = {}
         self._claimer: int | None = None
         self._armed = {i for i, p in processes.items() if p.may_act}
         self._round_was_active = True
@@ -233,9 +294,10 @@ class Simulation:
         # off-medium deliveries (START, NEW to a joiner) are processed within
         # the slot, after its broadcast opportunities are gone
         externals = self._externals.pop(t, ())
+        rnd = Round(t, [], [], [], [])
         for target, msg in externals:
             procs[target].on_external(msg, t)
-            self.trace.externals.append(ExternalRecord(t, target, msg))
+            rnd.externals.append(ExternalRecord(t, target, msg))
         touched = set(polled)
         touched.update(target for target, _ in externals)
 
@@ -243,7 +305,7 @@ class Simulation:
         fatal = events
         if self.clash_exempt is not None:
             fatal = [e for e in events if not self.clash_exempt(e, pending)]
-        self.trace.clashes.extend(events)
+        rnd.clashes.extend(events)
 
         corrupted_at = {e.victim for e in events}
         inbox: dict[int, list[tuple[int, Message]]] = {}
@@ -254,12 +316,12 @@ class Simulation:
                 if w not in corrupted_at:
                     receivers.append(w)
                     inbox.setdefault(w, []).append((origin, msg))
-            self.trace.broadcasts.append(BroadcastRecord(t, origin, msg, tuple(receivers)))
+            rnd.broadcasts.append(BroadcastRecord(t, origin, msg, tuple(receivers)))
 
         # fail-fast aborts after the physical broadcasts are on record but
         # before any reception handler runs
         if fatal and self.policy == FAIL_FAST:
-            self._finish_round(t, touched)
+            self._finish_round(rnd, touched)
             raise ClashDetected(fatal)
 
         if self.delivery_delay == 0:
@@ -276,12 +338,12 @@ class Simulation:
         touched.update(ready)
 
         self._round_was_active = bool(pending or ready or externals)
-        self._finish_round(t, touched)
+        self._finish_round(rnd, touched)
 
-    def _finish_round(self, t: int, touched: set[int]) -> None:
-        """Snapshot, re-arm and note a claim for each process the round touched."""
-        changes = self.trace.changes
-        last = self._last_snap
+    def _finish_round(self, rnd: Round, touched: set[int]) -> None:
+        """Snapshot, re-arm and note a claim for each touched process, then call the sink."""
+        t, changes = rnd.round, rnd.changes
+        last = self.last_snapshots
         armed = self._armed
         procs = self.processes
         for i in sorted(touched):
@@ -298,6 +360,7 @@ class Simulation:
                 armed.discard(i)
             if self._claimer is None and p.claimed_termination:
                 self._claimer = i
+        self.sink(rnd)
 
     def _quiescent(self) -> bool:
         return not (self._armed or self._externals or self._pending_inbox)
@@ -371,18 +434,11 @@ def detect_clashes(topology: Topology, t: int, origins: set[int]) -> list[ClashE
     return events
 
 
-def recheck_clashes(trace: Trace, topology: Topology) -> bool:
-    """Independently re-derive clash events from broadcast records.
+def recheck_clashes(topology: Topology, rnd: Round) -> bool:
+    """Independently re-derive one round's clash events from its broadcast records.
 
     Returns True when the recorded events are exactly the ones implied by the
     recorded broadcasts (soundness and completeness of the detector).
     """
-    by_round: dict[int, set[int]] = {}
-    for rec in trace.broadcasts:
-        by_round.setdefault(rec.round, set()).add(rec.origin)
-    expected: set[tuple[int, int, str, frozenset[int]]] = set()
-    for t, origins in by_round.items():
-        for e in detect_clashes(topology, t, origins):
-            expected.add((e.round, e.victim, e.clash_kind, e.participants))
-    recorded = {(e.round, e.victim, e.clash_kind, e.participants) for e in trace.clashes}
-    return expected == recorded
+    origins = {rec.origin for rec in rnd.broadcasts}
+    return set(detect_clashes(topology, rnd.round, origins)) == set(rnd.clashes)

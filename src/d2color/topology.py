@@ -294,8 +294,8 @@ def metrics(topology: Topology, root: int) -> GraphMetrics:
     return GraphMetrics(delta=topology.delta, depth=max(dist.values()))
 
 
-def save_topology(topology: Topology, path: str) -> None:
-    """Write the line-oriented topology file format (lossless round-trip)."""
+def topology_text(topology: Topology) -> str:
+    """The line-oriented topology file format (lossless round-trip)."""
     lines = [
         "format=d2topology/1",
         f"n={topology.n}",
@@ -304,8 +304,12 @@ def save_topology(topology: Topology, path: str) -> None:
     for a, b in topology.edges():
         lines.append(f"edge={a} {b}")
     lines.append("identities=" + " ".join(str(v) for v in topology.identities[1:]))
+    return "\n".join(lines) + "\n"
+
+
+def save_topology(topology: Topology, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(topology_text(topology))
 
 
 def load_topology(path: str) -> Topology:

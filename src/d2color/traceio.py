@@ -1,22 +1,26 @@
 """Line-oriented trace file format.
 
 One event per line with a fixed field order, so re-running a scenario yields
-a byte-identical file and regressions show up as plain diffs.  The writer sorts
-one round at a time; the reader decodes the JSON of _BATCH lines in one call.
+a byte-identical file and regressions show up as plain diffs.  The writers
+render one round at a time and sort its lines; TraceWriter takes each round as
+the engine finishes it.  The readers decode the JSON of _BATCH lines in one
+call; TraceReader hands a file over one round at a time.
 """
 
-import gc
 import json
 import re
-from collections import defaultdict
+from collections.abc import Iterator
+from contextlib import contextmanager
+from itertools import chain
 
-from .engine import BroadcastRecord, ClashEvent, ExternalRecord, StateChange, Trace
+from .engine import (BroadcastRecord, ClashEvent, ExternalRecord, Round, StateChange, Trace,
+                     gc_paused)
 from .messages import make_message, message_fields
 
 FORMAT = "d2trace/1"
 
 _encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
-_BATCH = 4096
+_BATCH = 1024
 
 
 def _msg_text(msg) -> str:
@@ -36,17 +40,29 @@ _RENDER = (
 )
 
 
+def _header(meta: dict) -> str:
+    return f"format={FORMAT}\nmeta={_encode(meta)}\n"
+
+
+def _round_lines(rnd: Round) -> list[str]:
+    """One round's lines, sorted by (tag, text)."""
+    lines = []
+    for render, records in zip(_RENDER, rnd[1:]):
+        if records:
+            lines += sorted(map(render, records))
+    return lines
+
+
+def _end(trace: Trace) -> str:
+    return f"end status={trace.status} rounds={trace.rounds} claimed_by={trace.claimed_by}\n"
+
+
 def _lines(trace: Trace):
     """The trace's lines, events sorted by (round, tag, text)."""
-    yield f"format={FORMAT}\nmeta={_encode(trace.meta)}\n"
-    rounds = defaultdict(lambda: ([], [], [], []))
-    for tag, recs in enumerate((trace.externals, trace.broadcasts, trace.clashes, trace.changes)):
-        for rec in recs:
-            rounds[rec.round][tag].append(rec)
-    for rnd in sorted(rounds):
-        for render, records in zip(_RENDER, rounds.pop(rnd)):
-            yield from sorted(map(render, records))
-    yield f"end status={trace.status} rounds={trace.rounds} claimed_by={trace.claimed_by}\n"
+    yield _header(trace.meta)
+    for rnd in trace.by_round():
+        yield from _round_lines(rnd)
+    yield _end(trace)
 
 
 def trace_to_text(trace: Trace) -> str:
@@ -56,6 +72,24 @@ def trace_to_text(trace: Trace) -> str:
 def write_trace(trace: Trace, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.writelines(_lines(trace))
+
+
+class TraceWriter:
+    """Writes a trace to an open text file one round at a time, in the bytes write_trace gives.
+
+    write_round is meant as a Simulation's sink; end writes the end line from
+    the trace's end fields, once the run and any join are over.
+    """
+
+    def __init__(self, fh, meta: dict):
+        self._fh = fh
+        fh.write(_header(meta))
+
+    def write_round(self, rnd: Round) -> None:
+        self._fh.writelines(_round_lines(rnd))
+
+    def end(self, trace: Trace) -> None:
+        self._fh.write(_end(trace))
 
 
 class TraceFormatError(ValueError):
@@ -69,59 +103,61 @@ def _fields(text: str) -> str:
 
 _INTS = r"(\d+(?:,\d+)*|)"
 _MSG = r"kind=(\w+)((?: \w+=[^\s=]+)*)"
-# Per tag: its lines' pattern, the JSON text of a line's fields, and what puts them, decoded, into
-# the trace.  A state or meta that decodes as one value from {...} is a JSON object.
+# Per tag: its lines' pattern, the JSON text of a line's fields, and what a line's value is made
+# from its fields, decoded.  A state or meta that decodes as one value from {...} is a JSON object.
 _LINE = {
-    "meta": (re.compile(r"meta=(\{.*\})"), lambda meta: f"[{meta}]",
-             lambda trace, meta: setattr(trace, "meta", meta)),
+    "meta": (re.compile(r"meta=(\{.*\})"), lambda meta: f"[{meta}]", lambda meta: meta),
     "X": (re.compile(rf"X round=(\d+) target=(\d+) {_MSG}"),
           lambda rnd, target, kind, msg: f'[{rnd},{target},"{kind}",{_fields(msg)}]',
-          lambda trace, rnd, target, kind, msg:
-          trace.externals.append(ExternalRecord(rnd, target, make_message(kind, msg)))),
+          lambda rnd, target, kind, msg: ExternalRecord(rnd, target, make_message(kind, msg))),
     "B": (re.compile(rf"B round=(\d+) origin=(\d+) receivers={_INTS} {_MSG}"),
           lambda rnd, origin, recv, kind, msg: f'[{rnd},{origin},[{recv}],"{kind}",{_fields(msg)}]',
-          lambda trace, rnd, origin, recv, kind, msg: trace.broadcasts.append(
-              BroadcastRecord(rnd, origin, make_message(kind, msg), tuple(recv)))),
+          lambda rnd, origin, recv, kind, msg:
+          BroadcastRecord(rnd, origin, make_message(kind, msg), tuple(recv))),
     "C": (re.compile(rf"C round=(\d+) victim=(\d+) clash=(\w+) participants={_INTS}"),
           lambda rnd, victim, clash, parts: f'[{rnd},{victim},"{clash}",[{parts}]]',
-          lambda trace, rnd, victim, clash, parts:
-          trace.clashes.append(ClashEvent(rnd, victim, clash, frozenset(parts)))),
+          lambda rnd, victim, clash, parts: ClashEvent(rnd, victim, clash, frozenset(parts))),
     "S": (re.compile(r"S round=(\d+) proc=(\d+) state=(\{.*\})"),
-          lambda rnd, proc, state: f"[{rnd},{proc},{state}]",
-          lambda trace, rnd, proc, state: trace.changes.append(StateChange(rnd, proc, state))),
+          lambda rnd, proc, state: f"[{rnd},{proc},{state}]", StateChange),
     "end": (re.compile(r"end status=(\w*) rounds=(\d+) claimed_by=(?:None|(\d+))"),
             lambda status, rounds, claimed: f'["{status}",{rounds},{claimed or "null"}]',
-            lambda trace, *end: vars(trace).update(zip(("status", "rounds", "claimed_by"), end))),
+            lambda *end: end),
 }
+# where a round's records of each event tag go in a Round
+_SLOT = {"X": 1, "B": 2, "C": 3, "S": 4}
 
 
-def _build(trace: Trace, queued: list, texts: list[str]) -> None:
-    """Make the records of the queued lines, their JSON texts decoded in one json.loads call."""
+def _build(queued: list, texts: list[str]) -> list[tuple]:
+    """(line number, tag, value) of the queued lines, their JSON texts decoded in one call."""
     try:
         values = json.loads(f"[{','.join(texts)}]")
     except ValueError:
         values = []
     if len(values) != len(texts):  # a text is bad, or split at a top-level comma: find it
-        for (number, _), text in zip(queued, texts):
+        for (number, _, _), text in zip(queued, texts):
             try:
                 json.loads(text)
             except ValueError as exc:
                 raise TraceFormatError(f"line {number}: {getattr(exc, 'msg', exc)} in JSON "
                                        f"{text[:60]!r}") from None
-    for (number, make), fields in zip(queued, values):
+    built = []
+    for (number, tag, make), fields in zip(queued, values):
         try:
-            make(trace, *fields)
+            built.append((number, tag, make(*fields)))
         except (TypeError, ValueError) as exc:  # a field missing or extra, or an unknown kind
             raise TraceFormatError(f"line {number}: {exc}") from None
     queued.clear(), texts.clear()
+    return built
 
 
-def _parse_lines(lines) -> Trace:
-    trace = Trace()
-    queued, texts = [], []  # (line number, maker) and JSON text of each line awaiting decoding
+def _batches(lines):
+    """Lists of (line number, tag, value), one per line after the format line, in file order.
+
+    The value of an event line is its record, of a meta line its dict, and of
+    the end line its (status, rounds, claimed_by).
+    """
+    queued, texts = [], []  # (line number, tag, maker) and JSON text of each line awaiting decoding
     numbered, number = enumerate(lines, 1), 0
-    enabled = gc.isenabled()
-    gc.disable()  # collecting while the records pile up would scan them again and again
     try:
         number, header = next(numbered, (1, ""))
         if (header := header.rstrip()) != f"format={FORMAT}":
@@ -135,16 +171,25 @@ def _parse_lines(lines) -> Trace:
             pattern, to_json, make = _LINE[tag]
             if (match := pattern.fullmatch(line)) is None:
                 raise TraceFormatError(f"line {number}: malformed {tag} line {line[:60]!r}")
-            queued.append((number, make))
+            queued.append((number, tag, make))
             texts.append(to_json(*match.groups()))
             if len(texts) == _BATCH:
-                _build(trace, queued, texts)
-        _build(trace, queued, texts)
+                yield _build(queued, texts)
+        yield _build(queued, texts)
     except UnicodeDecodeError as exc:  # the line after the last one read is not UTF-8
         raise TraceFormatError(f"line {number + 1}: {exc}") from None
-    finally:
-        if enabled:
-            gc.enable()
+
+
+def _parse_lines(lines) -> Trace:
+    trace = Trace()
+    put = {"meta": lambda meta: setattr(trace, "meta", meta),
+           "X": trace.externals.append, "B": trace.broadcasts.append,
+           "C": trace.clashes.append, "S": trace.changes.append,
+           "end": lambda end: vars(trace).update(zip(("status", "rounds", "claimed_by"), end))}
+    with gc_paused():
+        for batch in _batches(lines):
+            for _, tag, value in batch:
+                put[tag](value)
     return trace
 
 
@@ -155,3 +200,92 @@ def parse_trace(text: str) -> Trace:
 def read_trace(path: str) -> Trace:
     with open(path, "rb") as fh:  # each line decoded on its own, so a decode error has a line
         return _parse_lines(map(bytes.decode, fh))
+
+
+class TraceReader:
+    """A trace read one round at a time; it holds one round's records, never the whole trace.
+
+    lines are the file's lines, as text.  meta is read on creation, from the
+    line after the format line.  by_round() yields the rounds, which must not
+    decrease from one line to the next, and can be run once; once it is
+    exhausted, status, rounds and claimed_by hold the end line's fields.  With
+    n given, the fields the verifier reads are checked too: the meta's root
+    and every broadcast origin, clash victim and participant and state-change
+    proc lie in 1..n, the meta's start_round, a state's color and a
+    COLOR_SEQ's d1colors are integers, and the meta's protocol is a string.
+    Every fault raises TraceFormatError naming its line.
+    """
+
+    def __init__(self, lines, n: int | None = None):
+        self._n = n
+        self.meta: dict = {}
+        self.status, self.rounds, self.claimed_by = "", 0, None
+        self._records = chain.from_iterable(_batches(lines))
+        first = next(self._records, None)
+        if first is not None and first[1] == "meta":
+            number, _, self.meta = first
+            if n is not None and (problem := _meta_problem(self.meta, n)):
+                raise TraceFormatError(f"line {number}: {problem}")
+        elif first is not None:
+            self._records = chain([first], self._records)
+
+    def by_round(self) -> Iterator[Round]:
+        n, rnd = self._n, None
+        for number, tag, value in self._records:
+            if tag == "end":
+                self.status, self.rounds, self.claimed_by = value
+                continue
+            if tag == "meta":
+                raise TraceFormatError(f"line {number}: the meta line must follow the format line")
+            if rnd is None or value.round != rnd.round:
+                if rnd is not None:
+                    if value.round < rnd.round:
+                        raise TraceFormatError(
+                            f"line {number}: round {value.round} after round {rnd.round}")
+                    yield rnd
+                rnd = Round(value.round, [], [], [], [])
+            if n is not None and (problem := _field_problem(tag, value, n)):
+                raise TraceFormatError(f"line {number}: {problem}")
+            rnd[_SLOT[tag]].append(value)
+        if rnd is not None:
+            yield rnd
+
+
+@contextmanager
+def open_trace(path: str, n: int | None = None) -> Iterator[TraceReader]:
+    """A TraceReader over the trace file at path, open for the with block."""
+    with open(path, "rb") as fh:  # each line decoded on its own, so a decode error has a line
+        yield TraceReader(map(bytes.decode, fh), n)
+
+
+def _meta_problem(meta: dict, n: int) -> str | None:
+    root, start = meta.get("root", 1), meta.get("start_round", 0)
+    if type(root) is not int or not 1 <= root <= n:
+        return f"root {root!r} is not in 1..{n}"
+    if type(start) is not int:
+        return f"start_round {start!r} is not an integer"
+    if not isinstance(meta.get("protocol", ""), str):
+        return f"protocol {meta['protocol']!r} is not a name"
+    return None
+
+
+def _field_problem(tag: str, rec, n: int) -> str | None:
+    """What is wrong with the fields of an event record that the verifier reads, if anything."""
+    if tag == "S":
+        if not 1 <= rec.proc <= n:
+            return f"proc {rec.proc} is not in 1..{n}"
+        color = rec.state.get("color")
+        if color is not None and type(color) is not int:
+            return f"color {color!r} is not an integer"
+    elif tag == "B":
+        if not 1 <= rec.origin <= n:
+            return f"origin {rec.origin} is not in 1..{n}"
+        if rec.message.kind == "COLOR_SEQ":
+            colors = rec.message.d1colors
+            if type(colors) is not tuple or any(type(c) is not int for c in colors):
+                return f"d1colors {colors!r} are not integers"
+    elif tag == "C":
+        for index in (rec.victim, *sorted(rec.participants)):
+            if not 1 <= index <= n:
+                return f"process {index} is not in 1..{n}"
+    return None

@@ -2,7 +2,8 @@
 
 Every check here works from the topology, the final colors, and the raw trace
 records alone; it never consults a protocol's internal knowledge sets, so a
-protocol bug cannot hide itself.
+protocol bug cannot hide itself.  verify_run reads a run's records in one pass,
+a round at a time, and keeps only per-process state between rounds.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .engine import Trace, detect_clashes, recheck_clashes
+from .engine import Trace, detect_clashes, final_colors, gc_paused, recheck_clashes
 from .messages import color_seq_bits, color_seq_bits_bound, first_free_color
 from .topology import GraphMetrics, Topology, bfs, metrics, two_hop
 
@@ -214,12 +215,13 @@ def seq_knowledge_violations(
     return sorted(out)
 
 
-def par_edge_color_violations(topology: Topology, trace: Trace,
-                              finals=None) -> list[tuple[int, int]]:
-    """Parent/child edges whose child color exceeds the parent's degree."""
-    finals = trace.final_states() if finals is None else finals
+def par_edge_color_violations(topology: Topology, trace) -> list[tuple[int, int]]:
+    """Parent/child edges whose child color exceeds the parent's degree.
+
+    trace is a Trace or RunFacts; only its final states are read.
+    """
     out = []
-    for i, st in finals.items():
+    for i, st in trace.final_states().items():
         parent_id = st.get("parent")
         color = st.get("color")
         if color is None or parent_id is None:
@@ -236,25 +238,84 @@ def par_edge_color_violations(topology: Topology, trace: Trace,
     return out
 
 
-def end_wave_violations(trace: Trace, delta: int, finals=None) -> list[int]:
-    """Processes that did not finish at state 6 knowing delta+1 colors."""
-    finals = trace.final_states() if finals is None else finals
+def end_wave_violations(trace, delta: int) -> list[int]:
+    """Processes that did not finish at state 6 knowing delta+1 colors.
+
+    trace is a Trace or RunFacts; only its final states are read.
+    """
     return sorted(
         i
-        for i, st in finals.items()
+        for i, st in trace.final_states().items()
         if st.get("state") != 6 or st.get("max_nb_cl") != delta + 1
     )
 
 
-def _sequential_flow(trace: Trace) -> BoundCheck:
-    worst = trace.max_broadcasts_per_round()
+@dataclass
+class RunFacts:
+    """What verification reads of a run's records, gathered in one pass over its rounds."""
+
+    meta: dict
+    finals: dict[int, dict]  # the last recorded state of each process
+    counts: dict[str, int]  # broadcasts per message kind
+    claim_round: int | None  # the round of the first state that claims termination
+    most_broadcasts: int  # in any one round
+    color_seq_bits: int  # of the largest COLOR_SEQ broadcast
+    clash_events: int  # those not exempt under sibling_end_parallel
+    clash_recheck_ok: bool
+    status: str
+    rounds: int
+    claimed_by: int | None
+
+    def final_states(self) -> dict[int, dict]:
+        return self.finals
+
+
+def fold_rounds(topology: Topology, trace, delta: int) -> RunFacts:
+    """The RunFacts of trace, a Trace or a traceio.TraceReader, read one round at a time."""
+    n = topology.n
+    end_exempt = trace.meta.get("sibling_end_parallel")
+    finals: dict[int, dict] = {}
+    counts: dict[str, int] = {}
+    claim_round = None
+    most = bits = clash_count = 0
+    recheck_ok = True
+    with gc_paused():
+        for rnd in trace.by_round():
+            _, _, broadcasts, clashes, changes = rnd
+            if len(broadcasts) > most:
+                most = len(broadcasts)
+            for rec in broadcasts:
+                kind = rec.message.kind
+                counts[kind] = counts.get(kind, 0) + 1
+                if kind == "COLOR_SEQ":
+                    bits = max(bits, color_seq_bits(rec.message, n, delta))
+            # a round with fewer than two broadcasts and no clash events rechecks trivially
+            if recheck_ok and (clashes or len(broadcasts) > 1):
+                recheck_ok = recheck_clashes(topology, rnd)
+            if end_exempt and clashes:
+                # relaxed mode: END messages may collide at parents, which discard them
+                kind_of = {rec.origin: rec.message.kind for rec in broadcasts}
+                clash_count += sum(1 for e in clashes
+                                   if not all(kind_of.get(p) == "END" for p in e.participants))
+            else:
+                clash_count += len(clashes)
+            for ch in changes:
+                finals[ch.proc] = ch.state
+                if claim_round is None and ch.state.get("claimed"):
+                    claim_round = ch.round
+    return RunFacts(trace.meta, finals, counts, claim_round, most, bits, clash_count,
+                    recheck_ok, trace.status, trace.rounds, trace.claimed_by)
+
+
+def _sequential_flow(facts: RunFacts) -> BoundCheck:
+    worst = facts.most_broadcasts
     return BoundCheck("sequential_flow", 1, worst, worst <= 1)
 
 
-def _seq_bounds(trace: Trace, topology: Topology, mets: GraphMetrics, counts: dict,
-                finals: dict) -> list[BoundCheck]:
+def _seq_bounds(facts: RunFacts, topology: Topology, mets: GraphMetrics) -> list[BoundCheck]:
     delta = mets.delta
     n = topology.n
+    counts = facts.counts
     checks = []
     term = counts.get("TERM_SEQ", 0)
     checks.append(BoundCheck("seq_term_count", n - 1, term, term == n - 1))
@@ -263,36 +324,28 @@ def _seq_bounds(trace: Trace, topology: Topology, mets: GraphMetrics, counts: di
         limit = delta + (n - delta) * (delta - 1)
         checks.append(BoundCheck("seq_color_count", limit, color, color <= limit))
         bound = color_seq_bits_bound(n, delta)
-        worst = max(
-            (
-                color_seq_bits(rec.message, n, delta)
-                for rec in trace.broadcasts
-                if rec.message.kind == "COLOR_SEQ"
-            ),
-            default=0,
-        )
+        worst = facts.color_seq_bits
         checks.append(BoundCheck("seq_color_message_bits", bound, worst, worst <= bound))
     else:
         checks.append(BoundCheck("seq_color_count", 0, color, color == 0, note="singleton"))
-    checks.append(_sequential_flow(trace))
-    max_d = finals.get(trace.claimed_by, {}).get("max_d")
+    checks.append(_sequential_flow(facts))
+    max_d = facts.finals.get(facts.claimed_by, {}).get("max_d")
     checks.append(BoundCheck("root_learned_delta", delta, -1 if max_d is None else max_d,
                              max_d == delta))
     return checks
 
 
-def _par_bounds(trace: Trace, topology: Topology, mets: GraphMetrics, counts: dict,
-                finals: dict) -> list[BoundCheck]:
+def _par_bounds(facts: RunFacts, topology: Topology, mets: GraphMetrics) -> list[BoundCheck]:
     delta, depth = mets.delta, mets.depth
     n = topology.n
     checks = []
-    coloring_phase = counts.get("COLOR_PAR", 0) + counts.get("TERM_PAR", 0)
+    coloring_phase = facts.counts.get("COLOR_PAR", 0) + facts.counts.get("TERM_PAR", 0)
     limit = 2 * n - delta
     checks.append(
         BoundCheck("par_broadcast_count", limit, coloring_phase, coloring_phase <= limit)
     )
-    claim = completion_round(trace)
-    start = int(trace.meta.get("start_round", 0))
+    claim = facts.claim_round
+    start = int(facts.meta.get("start_round", 0))
     elapsed = claim - start if claim is not None else None
     observed = -1 if elapsed is None else elapsed
     if depth >= 1:
@@ -303,16 +356,16 @@ def _par_bounds(trace: Trace, topology: Topology, mets: GraphMetrics, counts: di
     else:
         checks.append(BoundCheck("par_completion_round", 0, observed, claim is not None,
                                  note="singleton, bound vacuous"))
-    edge_bad = par_edge_color_violations(topology, trace, finals)
+    edge_bad = par_edge_color_violations(topology, facts)
     checks.append(BoundCheck("par_child_color_range", 0, len(edge_bad), not edge_bad))
-    if trace.meta.get("end_phase"):
-        stuck = end_wave_violations(trace, delta, finals)
+    if facts.meta.get("end_phase"):
+        stuck = end_wave_violations(facts, delta)
         checks.append(BoundCheck("par_end_wave", 0, len(stuck), not stuck))
     return checks
 
 
 class Promise(NamedTuple):
-    bounds: Callable[[Trace, Topology, GraphMetrics, dict, dict], list[BoundCheck]]
+    bounds: Callable[[RunFacts, Topology, GraphMetrics], list[BoundCheck]]
     colors_within_delta: bool  # validity: every color lies in 0..delta
 
 
@@ -321,44 +374,36 @@ class Promise(NamedTuple):
 PROMISES = {
     "seq_tree": Promise(_seq_bounds, True),
     "par_tree": Promise(_par_bounds, True),
-    "arbitrary": Promise(lambda trace, *_: [_sequential_flow(trace)], False),
+    "arbitrary": Promise(lambda facts, *_: [_sequential_flow(facts)], False),
 }
 
 
-def check_bounds(trace: Trace, topology: Topology, mets: GraphMetrics, counts: dict,
-                 finals: dict) -> list[BoundCheck]:
-    """Per-protocol bound checks, given the metrics, broadcast counts and final states."""
-    promise = PROMISES.get(trace.meta.get("protocol"))
-    return [] if promise is None else promise.bounds(trace, topology, mets, counts, finals)
+def check_bounds(facts: RunFacts, topology: Topology, mets: GraphMetrics) -> list[BoundCheck]:
+    """Per-protocol bound checks, given the run's facts and the topology's metrics."""
+    promise = PROMISES.get(facts.meta.get("protocol"))
+    return [] if promise is None else promise.bounds(facts, topology, mets)
 
 
-def verify_run(topology: Topology, trace: Trace) -> VerificationReport:
-    """Full report for a finished run: section checks, bounds, TDMA replay."""
+def verify_run(topology: Topology, trace) -> VerificationReport:
+    """Full report for a finished run: section checks, bounds, TDMA replay.
+
+    trace is a Trace or a traceio.TraceReader; either is read once, one round
+    at a time, through fold_rounds.
+    """
     protocol = trace.meta.get("protocol", "unknown")
-    root = int(trace.meta.get("root", 1))
-    mets = metrics(topology, root)
+    mets = metrics(topology, int(trace.meta.get("root", 1)))
     delta = mets.delta
-    finals = trace.final_states()
-    colors = trace.final_colors(finals)
+    facts = fold_rounds(topology, trace, delta)
+    colors = final_colors(facts.finals)
     all_colored = len(colors) == topology.n
     promise = PROMISES.get(protocol)
     validity_ok, validity_off, consistency_ok, consistency_off = check_coloring(
         topology, colors, delta, promise is not None and promise.colors_within_delta
     )
-    counts = trace.broadcast_counts()
-    checks = check_bounds(trace, topology, mets, counts, finals)
+    checks = check_bounds(facts, topology, mets)
     tdma = 0
     if all_colored and consistency_ok:
         tdma = tdma_replay(topology, colors, delta)
-    clash_count = len(trace.clashes)
-    if trace.meta.get("sibling_end_parallel"):
-        # relaxed mode: END messages may collide at parents, which discard them
-        kind_of = {(rec.round, rec.origin): rec.message.kind for rec in trace.broadcasts}
-        clash_count = sum(
-            1
-            for e in trace.clashes
-            if not all(kind_of.get((e.round, p)) == "END" for p in e.participants)
-        )
     return VerificationReport(
         protocol=protocol,
         n=topology.n,
@@ -368,14 +413,14 @@ def verify_run(topology: Topology, trace: Trace) -> VerificationReport:
         validity_offenders=validity_off,
         consistency_ok=consistency_ok,
         consistency_offenders=consistency_off,
-        termination_status=trace.status,
-        claimed_by=trace.claimed_by,
+        termination_status=facts.status,
+        claimed_by=facts.claimed_by,
         all_colored=all_colored,
         palette_size=len(set(colors.values())),
-        message_counts=counts,
-        completion_round=completion_round(trace),
+        message_counts=facts.counts,
+        completion_round=facts.claim_round,
         bound_checks=checks,
         tdma_clashes=tdma,
-        clash_events=clash_count,
-        clash_recheck_ok=recheck_clashes(trace, topology),
+        clash_events=facts.clash_events,
+        clash_recheck_ok=facts.clash_recheck_ok,
     )

@@ -1,6 +1,10 @@
+import re
+
 import pytest
 
+from d2color import proto_tree_par
 from d2color.cli import PROTOCOLS, main
+from d2color.engine import ProtocolViolation
 from d2color.topology import load_topology
 
 
@@ -205,6 +209,103 @@ class TestRunAndVerify:
             assert run_cli("run", "--topology", str(topo_path), "--protocol", "par_tree",
                            "--root", "1", "--trace-out", str(t)) == 0
         assert t1.read_bytes() == t2.read_bytes()
+
+
+class TestOutputPaths:
+    @pytest.mark.parametrize("option", ["--trace-out", "--topology-out"])
+    def test_run_into_a_missing_directory_is_usage_error_before_the_run(self, option, tmp_path,
+                                                                      capsys, monkeypatch):
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("a simulation was built")
+        monkeypatch.setattr(PROTOCOLS["par_tree"].module, "make_simulation", no_simulation)
+        target = tmp_path / "missing" / "out"
+        assert run_cli("run", "--builtin", "path3", "--protocol", "par_tree", "--root", "2",
+                       option, str(target)) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"cannot write {target}: No such file or directory\n"
+
+    def test_gen_into_a_missing_directory_is_usage_error(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "p.topo"
+        assert run_cli("gen", "--builtin", "path3", "-o", str(target)) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"cannot write {target}: No such file or directory\n"
+
+    def test_output_path_that_is_a_directory_is_usage_error(self, tmp_path, capsys):
+        assert run_cli("run", "--builtin", "path3", "--protocol", "par_tree", "--root", "2",
+                       "--trace-out", str(tmp_path)) == 3
+        assert capsys.readouterr().err == f"cannot write {tmp_path}: Is a directory\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_protocol_violation_leaves_the_trace_path_as_it_was(self, tmp_path, capsys,
+                                                               monkeypatch):
+        on_clock = proto_tree_par.ParProcess.on_clock
+
+        def violating(self, clock):
+            if clock == 3:  # after rounds 0..2 have gone to the trace file
+                raise ProtocolViolation("planted")
+            return on_clock(self, clock)
+        monkeypatch.setattr(proto_tree_par.ParProcess, "on_clock", violating)
+        kept, fresh = tmp_path / "kept.trace", tmp_path / "fresh.trace"
+        kept.write_text("an earlier trace\n")
+        for path in (kept, fresh):
+            assert run_cli("run", "--builtin", "binary15", "--protocol", "par_tree",
+                           "--trace-out", str(path)) == 2
+        assert capsys.readouterr().err == "protocol violation: planted\n" * 2
+        assert kept.read_text() == "an earlier trace\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["kept.trace"]
+
+    def test_failed_join_writes_neither_output(self, tmp_path, capsys):
+        assert run_cli("run", "--builtin", "path3", "--protocol", "par_tree", "--root", "2",
+                       "--join-parent", "2", "--trace-out", str(tmp_path / "p.trace"),
+                       "--topology-out", str(tmp_path / "p.topo")) == 2
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestVerifyRejectsMismatchedTraces:
+    def _trace(self, tmp_path, builtin, *args):
+        topo_path, trace_path = tmp_path / f"{builtin}.topo", tmp_path / "run.trace"
+        run_cli("gen", "--builtin", builtin, "-o", str(topo_path))
+        assert run_cli("run", "--topology", str(topo_path), "--protocol", "par_tree", *args,
+                       "--trace-out", str(trace_path)) == 0
+        return trace_path
+
+    def _verify_error(self, capsys, trace_path, topo_path):
+        capsys.readouterr()
+        assert run_cli("verify", "--trace", str(trace_path), "--topology", str(topo_path)) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        return captured.err
+
+    def test_trace_of_a_larger_topology(self, tmp_path, capsys):
+        trace_path = self._trace(tmp_path, "binary15")
+        run_cli("gen", "--builtin", "path3", "-o", str(tmp_path / "path3.topo"))
+        err = self._verify_error(capsys, trace_path, tmp_path / "path3.topo")
+        k, field, index = re.fullmatch(r"cannot load inputs: line (\d+): (\w+) (\d+) is not in "
+                                       r"1\.\.3\n", err).groups()
+        assert f" {field}={index} " in trace_path.read_text().splitlines()[int(k) - 1]
+
+    @pytest.mark.parametrize("old,new,message", [
+        ('"root":2,', '"root":99,', "root 99 is not in 1..3"),
+        ('"color":0', '"color":"x"', "color 'x' is not an integer"),
+    ])
+    def test_value_out_of_range_or_of_the_wrong_type(self, tmp_path, capsys, old, new, message):
+        trace_path = self._trace(tmp_path, "path3", "--root", "2")
+        lines = trace_path.read_text().splitlines()
+        k = max(i for i, line in enumerate(lines) if old in line)
+        lines[k] = lines[k].replace(old, new)
+        trace_path.write_text("\n".join(lines) + "\n")
+        err = self._verify_error(capsys, trace_path, tmp_path / "path3.topo")
+        assert err == f"cannot load inputs: line {k + 1}: {message}\n"
+
+    def test_round_below_the_line_before(self, tmp_path, capsys):
+        trace_path = self._trace(tmp_path, "path3", "--root", "2")
+        lines = trace_path.read_text().splitlines()
+        lines.insert(2, lines.pop(-2))  # the last event first
+        trace_path.write_text("\n".join(lines) + "\n")
+        err = self._verify_error(capsys, trace_path, tmp_path / "path3.topo")
+        assert re.fullmatch(r"cannot load inputs: line 4: round 0 after round \d+\n", err)
 
 
 class TestBench:

@@ -1,21 +1,33 @@
+import io
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import run_par, run_seq
-from d2color import traceio
+from d2color import proto_tree_par, proto_tree_seq, traceio
+from d2color.cli import auto_budget
 from d2color.scenarios import TABLE1_NEXT_SCHEDULE, builtin_topology
 from d2color.proto_arbitrary import make_simulation as make_arb
 from d2color.topology import generate_random_tree
-from d2color.traceio import TraceFormatError, parse_trace, read_trace, trace_to_text, write_trace
+from d2color.traceio import (TraceFormatError, TraceReader, parse_trace, read_trace, trace_to_text,
+                             write_trace)
 from d2color.verifier import verify_run
 
 
-def traces():
-    yield builtin_topology("binary15"), run_par(builtin_topology("binary15"), 1)
-    yield builtin_topology("path3"), run_seq(builtin_topology("path3"), 1)
+def simulations():
+    """(topology, simulation not yet run, round budget) of each scenario traces() runs."""
+    for name, module in (("binary15", proto_tree_par), ("path3", proto_tree_seq)):
+        t = builtin_topology(name)
+        yield t, module.make_simulation(t, 1), auto_budget(t.n, t.delta)
     t = builtin_topology("table1")
-    yield t, make_arb(t, 1, next_schedule=TABLE1_NEXT_SCHEDULE).run(200)
+    yield t, make_arb(t, 1, next_schedule=TABLE1_NEXT_SCHEDULE), 200
+
+
+def traces():
+    for topology, sim, budget in simulations():
+        yield topology, sim.run(budget)
 
 
 # every line tag: X, B, S, and the C lines of the END collisions this relaxed mode records
@@ -130,3 +142,90 @@ class TestMalformedInput:
             parse_trace("\n".join(lines) + "\n")
         except TraceFormatError as exc:
             assert str(exc).startswith(f"line {k + 1}: ")
+
+
+class TestStreaming:
+    def _scenarios(self):
+        yield from simulations()
+        topo = generate_random_tree(45, 5, seed=6)
+        yield topo, proto_tree_par.make_simulation(topo, 1, sibling_end_parallel=True,
+                                                   policy="record_and_corrupt"), \
+            auto_budget(topo.n, topo.delta)
+
+    def test_rounds_written_as_they_end_give_the_in_memory_bytes(self):
+        streamed = []
+        for _, sim, budget in self._scenarios():
+            out = io.StringIO()
+            writer = traceio.TraceWriter(out, sim.trace.meta)
+            sim.sink = writer.write_round
+            trace = sim.run(budget)
+            assert trace.changes == []  # the rounds went to the writer only
+            writer.end(trace)
+            streamed.append(out.getvalue())
+        in_memory = [trace_to_text(sim.run(budget)) for _, sim, budget in self._scenarios()]
+        assert streamed == in_memory
+        assert streamed[-1].splitlines() == CLASHING
+
+    def test_reader_rounds_equal_the_parsed_trace_rounds(self):
+        for topo, sim, budget in self._scenarios():
+            trace = sim.run(budget)
+            text = trace_to_text(trace)
+            reader = TraceReader(text.splitlines(), topo.n)
+            assert list(reader.by_round()) == list(parse_trace(text).by_round())
+            assert (reader.meta, reader.status, reader.rounds, reader.claimed_by) == \
+                (trace.meta, trace.status, trace.rounds, trace.claimed_by)
+
+    def test_streamed_verification_matches_in_memory_verification(self):
+        for topo, sim, budget in self._scenarios():
+            trace = sim.run(budget)
+            reader = TraceReader(trace_to_text(trace).splitlines(), topo.n)
+            assert verify_run(topo, reader).to_text() == verify_run(topo, trace).to_text()
+
+
+def _read_all(lines, n=None):
+    reader = TraceReader(lines, n)
+    for _ in reader.by_round():
+        pass
+
+
+class TestTraceReaderRejects:
+    def test_a_round_below_the_line_before(self):
+        lines = list(CLASHING)
+        last_round = int(lines[-2].split(" ")[1].removeprefix("round="))
+        lines.insert(2, lines.pop(-2))  # the last event first
+        parse_trace("\n".join(lines))  # the whole-trace parser does not need sorted rounds
+        with pytest.raises(TraceFormatError, match=rf"^line 4: round 0 after round {last_round}$"):
+            _read_all(lines)
+
+    def test_a_meta_line_after_an_event(self):
+        lines = list(CLASHING)
+        lines[1], lines[2] = lines[2], lines[1]
+        with pytest.raises(TraceFormatError, match=r"^line 3: the meta line must follow"):
+            _read_all(lines)
+
+    def test_indices_outside_the_topology(self):
+        lines = list(CLASHING)  # a trace of 45 processes, read as one of 10
+        with pytest.raises(TraceFormatError) as raised:
+            _read_all(lines, 10)
+        k, field, index = re.fullmatch(r"line (\d+): (\w+) (\d+) is not in 1\.\.10",
+                                       str(raised.value)).groups()
+        k = int(k)
+        _read_all(lines[:k - 1], 10)  # every line before the named one passes
+        named = lines[k - 1]
+        assert f" {field}={index} " in f"{named} " or (field == "process" and index in named)
+
+    @pytest.mark.parametrize("damage,message", [
+        (lambda line: line.replace('"root":1,', '"root":99,'), "root 99 is not in 1..3"),
+        (lambda line: line.replace('"start_round":0', '"start_round":"0"'),
+         "start_round '0' is not an integer"),
+        (lambda line: line.replace('"color":2', '"color":"x"'), "color 'x' is not an integer"),
+        (lambda line: re.sub(r"d1colors=\S+", 'd1colors="ab"', line),
+         "d1colors 'ab' are not integers"),
+    ])
+    def test_values_of_the_wrong_type(self, damage, message):
+        topo = builtin_topology("path3")
+        lines = trace_to_text(run_seq(topo, 1)).splitlines()
+        k = next(i for i, line in enumerate(lines) if damage(line) != line)
+        lines[k] = damage(lines[k])
+        with pytest.raises(TraceFormatError, match=rf"^line {k + 1}: {re.escape(message)}$"):
+            _read_all(lines, topo.n)
