@@ -208,15 +208,18 @@ class TraceReader:
     lines are the file's lines, as text.  meta is read on creation, from the
     line after the format line.  by_round() yields the rounds, which must not
     decrease from one line to the next, and can be run once; once it is
-    exhausted, status, rounds and claimed_by hold the end line's fields.  With
-    n given, the fields the verifier reads are checked too: the meta's root
-    and every broadcast origin, clash victim and participant and state-change
-    proc lie in 1..n, the meta's start_round, a state's color and a
-    COLOR_SEQ's d1colors are integers, and the meta's protocol is a string.
-    Every fault raises TraceFormatError naming its line.
+    exhausted, status, rounds and claimed_by hold the end line's fields.
+    read_trace, which holds the whole trace, takes rounds in any order, so that
+    it names every damaged line itself; here a round raised by damage shows
+    only at the line after it.  n is the topology's process count, and the
+    fields the verifier reads are checked against it: the meta's root and every
+    broadcast origin, clash victim and participant and state-change proc lie in
+    1..n, the meta's start_round, a state's color and a COLOR_SEQ's d1colors
+    are integers, and the meta's protocol is a string.  Every fault raises
+    TraceFormatError naming its line.
     """
 
-    def __init__(self, lines, n: int | None = None):
+    def __init__(self, lines, n: int):
         self._n = n
         self.meta: dict = {}
         self.status, self.rounds, self.claimed_by = "", 0, None
@@ -224,7 +227,7 @@ class TraceReader:
         first = next(self._records, None)
         if first is not None and first[1] == "meta":
             number, _, self.meta = first
-            if n is not None and (problem := _meta_problem(self.meta, n)):
+            if problem := _meta_problem(self.meta, n):
                 raise TraceFormatError(f"line {number}: {problem}")
         elif first is not None:
             self._records = chain([first], self._records)
@@ -244,7 +247,7 @@ class TraceReader:
                             f"line {number}: round {value.round} after round {rnd.round}")
                     yield rnd
                 rnd = Round(value.round, [], [], [], [])
-            if n is not None and (problem := _field_problem(tag, value, n)):
+            if problem := _field_problem(tag, value, n):
                 raise TraceFormatError(f"line {number}: {problem}")
             rnd[_SLOT[tag]].append(value)
         if rnd is not None:
@@ -252,7 +255,7 @@ class TraceReader:
 
 
 @contextmanager
-def open_trace(path: str, n: int | None = None) -> Iterator[TraceReader]:
+def open_trace(path: str, n: int) -> Iterator[TraceReader]:
     """A TraceReader over the trace file at path, open for the with block."""
     with open(path, "rb") as fh:  # each line decoded on its own, so a decode error has a line
         yield TraceReader(map(bytes.decode, fh), n)

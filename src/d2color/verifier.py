@@ -215,13 +215,11 @@ def seq_knowledge_violations(
     return sorted(out)
 
 
-def par_edge_color_violations(topology: Topology, trace) -> list[tuple[int, int]]:
-    """Parent/child edges whose child color exceeds the parent's degree.
-
-    trace is a Trace or RunFacts; only its final states are read.
-    """
+def par_edge_color_violations(topology: Topology,
+                              finals: dict[int, dict]) -> list[tuple[int, int]]:
+    """Parent/child edges whose child color exceeds the parent's degree, given the final states."""
     out = []
-    for i, st in trace.final_states().items():
+    for i, st in finals.items():
         parent_id = st.get("parent")
         color = st.get("color")
         if color is None or parent_id is None:
@@ -238,14 +236,11 @@ def par_edge_color_violations(topology: Topology, trace) -> list[tuple[int, int]
     return out
 
 
-def end_wave_violations(trace, delta: int) -> list[int]:
-    """Processes that did not finish at state 6 knowing delta+1 colors.
-
-    trace is a Trace or RunFacts; only its final states are read.
-    """
+def end_wave_violations(finals: dict[int, dict], delta: int) -> list[int]:
+    """Processes whose final state is not state 6 knowing delta+1 colors."""
     return sorted(
         i
-        for i, st in trace.final_states().items()
+        for i, st in finals.items()
         if st.get("state") != 6 or st.get("max_nb_cl") != delta + 1
     )
 
@@ -265,9 +260,6 @@ class RunFacts:
     status: str
     rounds: int
     claimed_by: int | None
-
-    def final_states(self) -> dict[int, dict]:
-        return self.finals
 
 
 def fold_rounds(topology: Topology, trace, delta: int) -> RunFacts:
@@ -356,10 +348,10 @@ def _par_bounds(facts: RunFacts, topology: Topology, mets: GraphMetrics) -> list
     else:
         checks.append(BoundCheck("par_completion_round", 0, observed, claim is not None,
                                  note="singleton, bound vacuous"))
-    edge_bad = par_edge_color_violations(topology, facts)
+    edge_bad = par_edge_color_violations(topology, facts.finals)
     checks.append(BoundCheck("par_child_color_range", 0, len(edge_bad), not edge_bad))
     if facts.meta.get("end_phase"):
-        stuck = end_wave_violations(facts, delta)
+        stuck = end_wave_violations(facts.finals, delta)
         checks.append(BoundCheck("par_end_wave", 0, len(stuck), not stuck))
     return checks
 

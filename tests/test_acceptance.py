@@ -84,8 +84,8 @@ def _par_fields(r, trace):
     return {
         "palette": len(set(r["colors"].values())),
         "claim_round": completion_round(trace),
-        "edge_violations": par_edge_color_violations(r["topo"], trace),
-        "end_violations": end_wave_violations(trace, r["delta"]),
+        "edge_violations": par_edge_color_violations(r["topo"], trace.final_states()),
+        "end_violations": end_wave_violations(trace.final_states(), r["delta"]),
     }
 
 

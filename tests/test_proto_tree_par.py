@@ -43,7 +43,7 @@ class TestPath3FromMiddle:
         assert completion_round(self.trace) == 3
 
     def test_all_end_at_state_6_knowing_palette_size(self):
-        assert end_wave_violations(self.trace, delta=2) == []
+        assert end_wave_violations(self.trace.final_states(), delta=2) == []
 
     def test_counts(self):
         assert self.trace.broadcast_counts() == {"COLOR_PAR": 1, "TERM_PAR": 2, "END": 1}
@@ -155,7 +155,7 @@ class TestEndWaveEdgeCases:
         topo = build_topology([(1, 2)], kind="tree")
         trace = run_par(topo, 1, root_always_ends=True)
         assert trace.status == "terminated"
-        assert end_wave_violations(trace, delta=1) == []
+        assert end_wave_violations(trace.final_states(), delta=1) == []
 
     def test_leaf_root_stalls_without_override(self):
         trace = run_par(builtin_topology("path3"), 1)
@@ -179,7 +179,7 @@ class TestEndWaveEdgeCases:
         assert trace.status == "terminated"
         root_color = next(c.state["color"] for c in trace.changes if c.proc == 1)
         assert root_color == (3 + 1) % 5
-        assert end_wave_violations(trace, delta=4) == []
+        assert end_wave_violations(trace.final_states(), delta=4) == []
 
     def test_round_bound_counts_from_the_start_signal(self):
         topo = builtin_topology("path3")
@@ -194,7 +194,7 @@ class TestSiblingEndParallel:
         topo = builtin_topology("binary15")
         trace = run_par(topo, 1, sibling_end_parallel=True)
         assert trace.status == "terminated"
-        assert end_wave_violations(trace, delta=3) == []
+        assert end_wave_violations(trace.final_states(), delta=3) == []
         assert trace.clashes  # siblings really did collide at their parents
         kinds = {
             rec.message.kind
@@ -225,9 +225,9 @@ class TestCorpusProperties:
         for topo, root in self.CORPUS[:8]:
             trace = run_par(topo, root)
             assert trace.clashes == []
-            assert par_edge_color_violations(topo, trace) == []
+            assert par_edge_color_violations(topo, trace.final_states()) == []
             delta = metrics(topo, root).delta
-            assert end_wave_violations(trace, delta) == []
+            assert end_wave_violations(trace.final_states(), delta) == []
 
     def test_mixed_moduli_slot_gating_is_clash_free(self):
         # coloring gates on the parent's budget, the end wave on the learned

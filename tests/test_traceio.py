@@ -182,7 +182,7 @@ class TestStreaming:
             assert verify_run(topo, reader).to_text() == verify_run(topo, trace).to_text()
 
 
-def _read_all(lines, n=None):
+def _read_all(lines, n):
     reader = TraceReader(lines, n)
     for _ in reader.by_round():
         pass
@@ -193,15 +193,15 @@ class TestTraceReaderRejects:
         lines = list(CLASHING)
         last_round = int(lines[-2].split(" ")[1].removeprefix("round="))
         lines.insert(2, lines.pop(-2))  # the last event first
-        parse_trace("\n".join(lines))  # the whole-trace parser does not need sorted rounds
+        parse_trace("\n".join(lines))  # the whole-trace parser takes rounds in any order
         with pytest.raises(TraceFormatError, match=rf"^line 4: round 0 after round {last_round}$"):
-            _read_all(lines)
+            _read_all(lines, 45)
 
     def test_a_meta_line_after_an_event(self):
         lines = list(CLASHING)
         lines[1], lines[2] = lines[2], lines[1]
         with pytest.raises(TraceFormatError, match=r"^line 3: the meta line must follow"):
-            _read_all(lines)
+            _read_all(lines, 45)
 
     def test_indices_outside_the_topology(self):
         lines = list(CLASHING)  # a trace of 45 processes, read as one of 10
