@@ -1,6 +1,9 @@
 """Wire message types shared by the engine and the protocol state machines.
 
-Color fields hold -1 (the fictitious root color) or a non-negative integer.
+Color fields hold non-negative integers, with two exceptions.  A message that
+a root builds for itself on START carries the fictitious parent color -1 as
+its sender_cl.  arbitrary's root records that -1 in its d1colors and
+broadcasts it, as the table1 replay pins (d1colors=(-1,)).
 Palettes enumerate non-negative integers only, so -1 can never be selected.
 """
 
@@ -162,10 +165,10 @@ def color_seq_bits(msg: ColorSeq, n: int, delta: int) -> int:
     """Accounting-model encoded size of a COLOR_SEQ broadcast.
 
     Two identities at ceil(log2 n) bits each, plus one color slot for the
-    sender color and one per carried (non-fictitious) neighbor color at
-    ceil(log2(delta+1)) bits each.
+    sender color and one per carried neighbor color at ceil(log2(delta+1))
+    bits each.
     """
-    return _color_seq_size(n, delta, 1 + sum(1 for c in msg.d1colors if c >= 0))
+    return _color_seq_size(n, delta, 1 + len(msg.d1colors))
 
 
 def color_seq_bits_bound(n: int, delta: int) -> int:

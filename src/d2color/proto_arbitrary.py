@@ -7,7 +7,9 @@ colors it already knows triggers a correction exchange that recolors the
 sender, relays the fixed color two hops out, and then resumes the traversal.
 
 Knowledge sets d1colors/d2colors are insertion-ordered without duplicates
-because the relay step retracts exactly the most recently recorded color.
+because the relay step retracts exactly the most recently recorded color.  Each
+is a dict used as a set: setdefault records a color, a repeat keeps its place,
+and popitem retracts the last one.
 
 States: 0 idle, 1 refusing (will send a correction request), 2 will propose a
 color to an uncolored neighbor, 3 will report completion upward, 4 corrected
@@ -23,41 +25,12 @@ from .messages import (ColorArb, Correct, CorrectedColor, ResumeColoring, Start,
 from .topology import Topology
 
 
-class OrderedColorSet:
-    """Insertion-ordered colors with set membership and last-added rollback."""
-
-    __slots__ = ("values", "_members")
-
-    def __init__(self, values=()):
-        self.values: list[int] = []
-        self._members: set[int] = set()
-        for v in values:
-            self.add(v)
-
-    def add(self, color: int) -> None:
-        if color not in self._members:
-            self.values.append(color)
-            self._members.add(color)
-
-    def add_all(self, colors) -> None:
-        for c in colors:
-            self.add(c)
-
-    def remove_last(self) -> int:
-        if not self.values:
-            raise ProtocolViolation("rollback of an empty color sequence")
-        c = self.values.pop()
-        self._members.discard(c)
-        return c
-
-    def __contains__(self, color: int) -> bool:
-        return color in self._members
-
-    def __iter__(self):
-        return iter(self.values)
-
-    def as_tuple(self) -> tuple[int, ...]:
-        return tuple(self.values)
+def replace_last(colors: dict[int, None], color: int) -> None:
+    """Retract the color recorded last in an insertion-ordered set, then record color."""
+    if not colors:
+        raise ProtocolViolation("rollback of an empty color sequence")
+    colors.popitem()
+    colors.setdefault(color)
 
 
 class ArbProcess(Process):
@@ -70,8 +43,8 @@ class ArbProcess(Process):
     ):
         super().__init__(index, ident, neighbor_ids)
         self.state = 0
-        self.d1 = OrderedColorSet()
-        self.d2 = OrderedColorSet()
+        self.d1: dict[int, None] = {}
+        self.d2: dict[int, None] = {}
         self.sender = 0
         self.parent: int | None = None
         self.to_color: set[int] = set(neighbor_ids)
@@ -109,7 +82,7 @@ class ArbProcess(Process):
     def _on_color(self, msg: ColorArb) -> None:
         # every receiver learns the sender is colored and absorbs its d1 set
         self.to_color.discard(msg.sender)
-        self.d2.add_all(msg.d1colors)
+        self.d2.update(dict.fromkeys(msg.d1colors))
         self.dirty = True
         if msg.dest == self.ident and (
             msg.sender_cl in msg.d1colors
@@ -124,14 +97,14 @@ class ArbProcess(Process):
             self.state = 2
             self.color = msg.proposed_color
             self.parent = msg.sender
-            self.d1.add(msg.sender_cl)
+            self.d1.setdefault(msg.sender_cl)
         elif msg.dest == self.ident and not self.to_color:
             self.state = 3
             self.parent = msg.sender
             self.color = msg.proposed_color
         if msg.dest != self.ident:
-            self.d2.add(msg.proposed_color)
-            self.d1.add(msg.sender_cl)
+            self.d2.setdefault(msg.proposed_color)
+            self.d1.setdefault(msg.sender_cl)
 
     def _on_term(self, msg: TermArb) -> None:
         # overhearing a report still reveals the reporter needs no color
@@ -145,14 +118,14 @@ class ArbProcess(Process):
             else:
                 self.state = 3
         else:
-            self.d1.add(msg.color)
+            self.d1.setdefault(msg.color)
             self.state = 2
 
     def _on_correct(self, msg: Correct) -> None:
         if msg.dest != self.ident:
             return
-        self.d2.add_all(msg.d1colors)
-        self.d1.add(msg.color)
+        self.d2.update(dict.fromkeys(msg.d1colors))
+        self.d1.setdefault(msg.color)
         self.color = first_free_color([*self.d1, *self.d2])
         self.sender = msg.sender
         self.state = 4
@@ -160,12 +133,10 @@ class ArbProcess(Process):
 
     def _on_corrected(self, msg: CorrectedColor) -> None:
         if msg.dest1 != self.ident and msg.dest1 != -1:
-            self.d1.remove_last()
-            self.d1.add(msg.color)
+            replace_last(self.d1, msg.color)
             self.dirty = True
         if msg.dest1 != self.ident and msg.dest1 == -1:
-            self.d2.remove_last()
-            self.d2.add(msg.color)
+            replace_last(self.d2, msg.color)
             self.dirty = True
         if msg.dest2 == self.ident:
             self.state = 6
@@ -190,11 +161,11 @@ class ArbProcess(Process):
         self.dirty = True
         if state == 1:
             self.color = first_free_color([*self.d1, *self.d2])
-            return Correct(self.sender, self.ident, self.color, self.d1.as_tuple())
+            return Correct(self.sender, self.ident, self.color, tuple(self.d1))
         if state == 2:
             proposal = first_free_color([*self.d1, self.color])
             nxt = self._pick_next()
-            return ColorArb(nxt, self.ident, self.color, proposal, self.d1.as_tuple())
+            return ColorArb(nxt, self.ident, self.color, proposal, tuple(self.d1))
         if state == 3:
             return TermArb(self.parent, self.color, self.ident)
         if state == 4:
@@ -212,8 +183,8 @@ class ArbProcess(Process):
             "parent": self.parent,
             "sender": self.sender,
             "corrected_cl": self.corrected_cl,
-            "d1colors": self.d1.as_tuple(),
-            "d2colors": self.d2.as_tuple(),
+            "d1colors": tuple(self.d1),
+            "d2colors": tuple(self.d2),
             "to_color": tuple(sorted(self.to_color)),
             "claimed": self.claimed_termination,
         }
@@ -230,12 +201,11 @@ def make_simulation(
     policy: str = FAIL_FAST,
     next_schedule: dict[int, list[int]] | None = None,
     handler_order_seed: int | None = None,
-    meta: dict | None = None,
 ) -> Simulation:
     # this protocol's reference execution receives each broadcast in the slot
     # after it was sent, unlike the tree protocols' same-slot model
     return start_simulation(
         topology, root, lambda *ids: ArbProcess(*ids, next_schedule),
-        {"protocol": "arbitrary", **(meta or {})},
+        {"protocol": "arbitrary"},
         start_round, policy, handler_order_seed=handler_order_seed, delivery_delay=1,
     )

@@ -245,13 +245,12 @@ def make_simulation(
     root_always_ends: bool = False,
     sibling_end_parallel: bool = False,
     handler_order_seed: int | None = None,
-    meta: dict | None = None,
 ) -> Simulation:
     return start_simulation(
         topology, root,
         lambda *ids: ParProcess(*ids, end_phase, root_always_ends, sibling_end_parallel),
         {"protocol": "par_tree", "end_phase": end_phase, "root_always_ends": root_always_ends,
-         "sibling_end_parallel": sibling_end_parallel, **(meta or {})},
+         "sibling_end_parallel": sibling_end_parallel},
         start_round, policy,
         done_fn=_all_terminal if end_phase else None,
         clash_exempt=_end_only_clash if sibling_end_parallel else None,
@@ -294,10 +293,9 @@ def execute_join(sim: Simulation, parent_index: int, max_wait: int = 64) -> Join
             f"process {parent_index} already has degree {parent.degree} = max degree"
         )
 
-    known = {parent.color} | set(parent.assigned_pairs.values())
-    if parent.parent != parent.ident:
-        known.add(parent.sender_cl)
-    # at most degree + 1 <= delta colors are known, so the color is <= delta
+    # at most degree + 1 <= delta real colors are known, so the color is <= delta;
+    # the root's sender_cl is -1, which first_free_color never picks
+    known = {parent.color, parent.sender_cl, *parent.assigned_pairs.values()}
     color = first_free_color(known)
     # identities start at 1
     new_id = first_free_color({0, parent.ident} | parent.neighbor_ids)

@@ -68,8 +68,9 @@ class SeqProcess(Process):
     def _accept_color(self, msg: ColorSeq) -> None:
         self.parent = msg.sender
         self.sender_cl = msg.sender_cl
-        self.d1colors = {msg.sender_cl}
-        self.color = first_free_color(self.d1colors | set(msg.d1colors) | {msg.sender_cl})
+        # the root's parent color -1 is fictitious, so the root starts knowing no color
+        self.d1colors = set() if msg.sender == self.ident else {msg.sender_cl}
+        self.color = first_free_color(self.d1colors | set(msg.d1colors))
         self.to_color = set(self.neighbor_ids) - {self.parent}
         self.state = 1 if self.to_color else 3
         self.dirty = True
@@ -117,12 +118,10 @@ def make_simulation(
     next_child_order: str = "min",
     seed: int = 0,
     handler_order_seed: int | None = None,
-    meta: dict | None = None,
 ) -> Simulation:
     rng = random.Random(seed) if next_child_order == "random" else None
     return start_simulation(
         topology, root, lambda *ids: SeqProcess(*ids, next_child_order, rng),
-        {"protocol": "seq_tree", "next_child_order": next_child_order, "seed": seed,
-         **(meta or {})},
+        {"protocol": "seq_tree", "next_child_order": next_child_order, "seed": seed},
         start_round, policy, handler_order_seed=handler_order_seed,
     )

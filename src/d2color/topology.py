@@ -278,14 +278,6 @@ def two_hop(topology: Topology, v: int) -> set[int]:
     return out
 
 
-def graph_distance(topology: Topology, a: int, b: int) -> int:
-    """BFS hop count between two process indices."""
-    dist = bfs(topology.adjacency, a)
-    if b not in dist:
-        raise DisconnectedGraph(f"no path between {a} and {b}")
-    return dist[b]
-
-
 def metrics(topology: Topology, root: int) -> GraphMetrics:
     """Exact max degree and BFS depth from root."""
     dist = bfs(topology.adjacency, root)

@@ -16,6 +16,7 @@ from itertools import chain
 from .engine import (BroadcastRecord, ClashEvent, ExternalRecord, Round, StateChange, Trace,
                      gc_paused)
 from .messages import make_message, message_fields
+from .verifier import PROMISES
 
 FORMAT = "d2trace/1"
 
@@ -215,8 +216,8 @@ class TraceReader:
     fields the verifier reads are checked against it: the meta's root and every
     broadcast origin, clash victim and participant and state-change proc lie in
     1..n, the meta's start_round, a state's color and a COLOR_SEQ's d1colors
-    are integers, and the meta's protocol is a string.  Every fault raises
-    TraceFormatError naming its line.
+    are integers, and the meta's protocol is one the verifier knows (a key of
+    verifier.PROMISES).  Every fault raises TraceFormatError naming its line.
     """
 
     def __init__(self, lines, n: int):
@@ -267,8 +268,11 @@ def _meta_problem(meta: dict, n: int) -> str | None:
         return f"root {root!r} is not in 1..{n}"
     if type(start) is not int:
         return f"start_round {start!r} is not an integer"
-    if not isinstance(meta.get("protocol", ""), str):
-        return f"protocol {meta['protocol']!r} is not a name"
+    protocol = meta.get("protocol")
+    if not isinstance(protocol, str):
+        return f"protocol {protocol!r} is not a name"
+    if protocol not in PROMISES:
+        return f"protocol {protocol!r} is unknown"
     return None
 
 

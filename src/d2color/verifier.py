@@ -181,11 +181,6 @@ def completion_round(trace: Trace) -> int | None:
     return None
 
 
-def _real_colors(colors) -> int:
-    """Number of real colors in a color set; the root's sentinel -1 is not one."""
-    return sum(1 for c in colors if c >= 0)
-
-
 def seq_knowledge_violations(
     trace: Trace, topology: Topology, delta: int
 ) -> list[tuple[int, int, int]]:
@@ -194,7 +189,7 @@ def seq_knowledge_violations(
     The bound holds where the protocol relies on it: a color set is only ever
     broadcast while its holder still has a neighbor to color, and a process
     knows at most one color per neighbor. Returns sorted (round, proc, size)
-    offenders, size counting real colors (>= 0) only, for
+    offenders for:
       - every COLOR_SEQ broadcast carrying delta or more colors,
       - every snapshot with a non-empty to_color and delta or more d1colors,
       - every snapshot whose d1colors outnumber the process's degree.
@@ -202,14 +197,14 @@ def seq_knowledge_violations(
     out = []
     for rec in trace.broadcasts:
         if rec.message.kind == "COLOR_SEQ":
-            size = _real_colors(rec.message.d1colors)
+            size = len(rec.message.d1colors)
             if size >= delta:
                 out.append((rec.round, rec.origin, size))
     for ch in trace.changes:
         d1 = ch.state.get("d1colors")
         if d1 is None:
             continue
-        size = _real_colors(d1)
+        size = len(d1)
         if (ch.state.get("to_color") and size >= delta) or size > topology.degree(ch.proc):
             out.append((ch.round, ch.proc, size))
     return sorted(out)

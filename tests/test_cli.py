@@ -289,6 +289,7 @@ class TestVerifyRejectsMismatchedTraces:
     @pytest.mark.parametrize("old,new,message", [
         ('"root":2,', '"root":99,', "root 99 is not in 1..3"),
         ('"color":0', '"color":"x"', "color 'x' is not an integer"),
+        ('"protocol":"par_tree"', '"protocol":"bogus"', "protocol 'bogus' is unknown"),
     ])
     def test_value_out_of_range_or_of_the_wrong_type(self, tmp_path, capsys, old, new, message):
         trace_path = self._trace(tmp_path, "path3", "--root", "2")

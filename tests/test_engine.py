@@ -257,9 +257,9 @@ class TestMessageBits:
     def test_payload_accounting(self):
         from d2color.messages import ColorSeq, color_seq_bits, color_seq_bits_bound
 
-        msg = ColorSeq(dest=2, sender=1, sender_cl=0, d1colors=(-1, 1, 3))
+        msg = ColorSeq(dest=2, sender=1, sender_cl=0, d1colors=(1, 3))
         # two identity fields plus one slot for the sender color and one per
-        # real carried color; the sentinel -1 costs nothing
+        # carried color
         assert color_seq_bits(msg, n=8, delta=4) == 2 * 3 + 3 * 3
         assert color_seq_bits_bound(n=8, delta=4) == 2 * 3 + 4 * 3
 

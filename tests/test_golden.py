@@ -21,10 +21,10 @@ from d2color import cli, proto_arbitrary, proto_tree_par, proto_tree_seq
 from d2color.scenarios import TABLE1_NEXT_SCHEDULE, builtin_topology
 from d2color.topology import (
     assign_identities,
+    bfs,
     build_topology,
     generate_random_connected,
     generate_random_tree,
-    graph_distance,
     metrics,
     save_topology,
 )
@@ -85,9 +85,9 @@ LIBRARY_DIGESTS = {
     "par_sibling_end_parallel":
         "e0b14c538422cde6bcd5eb87dfeda4af9a158ab1fbba5e7e3ca907f3561f8e0c",
     "seq_handler_order":
-        "87218032c3ee814657d09bb946dd2472c1204c305ee1f6512ee83459cf37c6e4",
+        "b09eece88fe2abf89a797cea363a6b234b0b3639f76bb07144dde77c850235b2",
     "seq_random_child":
-        "5f2dfb8a1c3c40cd60dfe20a8353086e11d70be554a53d6eedad7513fe695471",
+        "f93ba8bff2c52ba1fffa5104e7e76a8398e8a2889f669aee6ce78dbc7ba52e5f",
 }
 
 
@@ -140,9 +140,9 @@ CLI_DIGESTS = {
     "run_par_sibling_end_parallel":
         "ab3f81fc27b46462f9b0b41df26ed4f79e13116c2b5b0e78c9f89917ed30c1d8",
     "run_seq_budget":
-        "6f1143921009e1b98098d5bad75bc2789bfb8157a67fb9733f7e9543f907ecf7",
+        "538886f373290428485c359343b6120df8049fcacf2624c2bfdc02a1df2bf4df",
     "run_seq_random_child":
-        "f2a1e06f8446e26c693d73b9a1d9bd4200d315e582946d003e1f3367977d9c2d",
+        "ce81fb59cc6c8fa96526c195d113380d8283b2c9e7f9f0708bb5175dd9f7b6e6",
 }
 
 
@@ -231,7 +231,7 @@ def _greedy_text():
 
 def _table1_distances_text():
     topo = builtin_topology("table1")
-    return "\n".join(" ".join(str(graph_distance(topo, a, b)) for b in range(1, topo.n + 1))
+    return "\n".join(" ".join(str(bfs(topo.adjacency, a)[b]) for b in range(1, topo.n + 1))
                      for a in range(1, topo.n + 1))
 
 

@@ -4,7 +4,7 @@ import pytest
 
 from d2color.engine import ClashDetected, ProtocolViolation
 from d2color.messages import ColorArb, Correct, CorrectedColor, ResumeColoring, TermArb
-from d2color.proto_arbitrary import ArbProcess, OrderedColorSet, make_simulation
+from d2color.proto_arbitrary import ArbProcess, make_simulation, replace_last
 from d2color.scenarios import (
     TABLE1_FINAL_COLORS,
     TABLE1_NEXT_SCHEDULE,
@@ -54,12 +54,14 @@ class TestTable1Replay:
 
 class TestKnowledgeRollback:
     def test_ordered_set_rolls_back_last_insertion(self):
-        s = OrderedColorSet([0, 2])
-        s.add(2)  # duplicate: no new insertion
-        s.remove_last()
-        assert s.as_tuple() == (0,)
-        s.add(3)
-        assert s.as_tuple() == (0, 3)
+        s = dict.fromkeys([0, 2, 5])
+        s.setdefault(2)  # a duplicate keeps its place
+        s.update(dict.fromkeys((0, 7)))  # so does one absorbed from a payload
+        assert tuple(s) == (0, 2, 5, 7)
+        replace_last(s, 3)  # the last color recorded, 7, goes
+        assert tuple(s) == (0, 2, 5, 3)
+        replace_last(s, 0)  # a replacement already known keeps its place
+        assert tuple(s) == (0, 2, 5)
 
     def test_rollback_of_empty_sequence_is_a_violation(self):
         p = ArbProcess(1, ident=10, neighbor_ids=(20,))
@@ -69,16 +71,16 @@ class TestKnowledgeRollback:
     def test_relay_swaps_last_d1_entry(self):
         p = ArbProcess(1, ident=10, neighbor_ids=(20, 30))
         p.on_message(ColorArb(dest=99, sender=20, sender_cl=4, proposed_color=5, d1colors=()))
-        assert p.d1.as_tuple() == (4,)
+        assert tuple(p.d1) == (4,)
         p.on_message(CorrectedColor(dest1=77, dest2=78, sender=20, color=6))
-        assert p.d1.as_tuple() == (6,)
+        assert tuple(p.d1) == (6,)
 
     def test_wildcard_relay_swaps_last_d2_entry(self):
         p = ArbProcess(1, ident=10, neighbor_ids=(20, 30))
         p.on_message(ColorArb(dest=99, sender=20, sender_cl=4, proposed_color=5, d1colors=(1,)))
-        assert p.d2.as_tuple() == (1, 5)
+        assert tuple(p.d2) == (1, 5)
         p.on_message(CorrectedColor(dest1=-1, dest2=-1, sender=20, color=7))
-        assert p.d2.as_tuple() == (1, 7)
+        assert tuple(p.d2) == (1, 7)
 
     def test_wildcard_matching_own_color_resumes(self):
         p = ArbProcess(1, ident=10, neighbor_ids=(20,))

@@ -43,7 +43,7 @@ class TestPath3HandTrace:
 
     def test_middle_got_color_1_from_parent_payload(self):
         first = self.trace.broadcasts[0].message
-        assert first == ColorSeq(dest=2, sender=1, sender_cl=0, d1colors=(-1,))
+        assert first == ColorSeq(dest=2, sender=1, sender_cl=0, d1colors=())
 
     def test_root_learned_max_degree(self):
         final = self.trace.final_states()[1]
@@ -85,7 +85,7 @@ class TestHandlers:
 
     def test_second_addressed_color_rejected(self):
         p = self.make_proc()
-        p.on_message(ColorSeq(dest=20, sender=10, sender_cl=0, d1colors=(-1,)))
+        p.on_message(ColorSeq(dest=20, sender=10, sender_cl=0, d1colors=()))
         with pytest.raises(ProtocolViolation):
             p.on_message(ColorSeq(dest=20, sender=30, sender_cl=1, d1colors=()))
 
@@ -126,27 +126,31 @@ class TestCorpusProperties:
             assert trace.final_states()[root]["max_d"] == delta
 
     def test_carried_color_sets_stay_below_max_degree(self):
-        # every color broadcast carries fewer than delta real colors: the
-        # sender always has at least one uncolored neighbor left at that point
+        # every color broadcast carries fewer than delta colors: the sender
+        # always has at least one uncolored neighbor left at that point. No
+        # set holds a negative color: the root's fictitious parent color -1
+        # stays its sender_cl and never enters d1colors
         for topo, root in self.CORPUS[:10]:
             delta = metrics(topo, root).delta
             trace = run_seq(topo, root)
             for rec in trace.broadcasts:
                 if rec.message.kind == "COLOR_SEQ":
-                    real = [c for c in rec.message.d1colors if c >= 0]
-                    assert len(real) < delta
+                    assert len(rec.message.d1colors) < delta
+                    assert min(rec.message.d1colors, default=0) >= 0
+            for ch in trace.changes:
+                assert min(ch.state["d1colors"], default=0) >= 0
+            assert trace.final_states()[root]["sender_cl"] == -1
 
     def test_knowledge_sets_reach_delta_after_last_report(self):
         # the strict snapshot bound does not survive a subtree's final
         # report: the parent then holds all of its neighbors' colors. The
-        # root's sentinel -1 is no color, so the root (one real color) is
-        # not listed. The set is never broadcast then, so the protocol's
-        # knowledge-set bound still holds
+        # root (one neighbor, so one color) is not listed. The set is never
+        # broadcast then, so the protocol's knowledge-set bound still holds
         topo = builtin_topology("path3")
         trace = run_seq(topo, 1)
         full = []
         for ch in trace.changes:
-            size = sum(1 for c in ch.state["d1colors"] if c >= 0)
+            size = len(ch.state["d1colors"])
             if size >= 2:
                 full.append((ch.round, ch.proc, size))
         assert full == [(3, 2, 2), (4, 2, 2)]

@@ -16,7 +16,6 @@ from d2color.topology import (
     build_topology,
     generate_random_connected,
     generate_random_tree,
-    graph_distance,
     load_topology,
     metrics,
     save_topology,
@@ -128,7 +127,7 @@ class TestAssignIdentities:
         for a in range(1, 6):
             for b in range(a + 1, 6):
                 if r.identity(a) == r.identity(b):
-                    assert graph_distance(r, a, b) >= 3
+                    assert bfs(r.adjacency, a)[b] >= 3
 
     def test_star_forces_all_distinct(self):
         topo = build_topology([(1, 2), (1, 3), (1, 4)], kind="tree")
@@ -156,12 +155,12 @@ class TestAssignIdentities:
 class TestDistanceAndMetrics:
     def test_path_distances(self):
         topo = build_topology([(1, 2), (2, 3)], kind="tree")
-        assert graph_distance(topo, 1, 3) == 2
-        assert graph_distance(topo, 2, 2) == 0
+        assert bfs(topo.adjacency, 1)[3] == 2
+        assert bfs(topo.adjacency, 2)[2] == 0
 
     def test_table1_distance_4_5(self):
         topo = build_topology([(1, 2), (1, 4), (2, 3), (2, 5), (3, 4)], kind="general")
-        assert graph_distance(topo, 4, 5) == 3
+        assert bfs(topo.adjacency, 4)[5] == 3
 
     def test_star_metrics(self):
         topo = build_topology([(1, 2), (1, 3), (1, 4), (1, 5)], kind="tree")
@@ -190,9 +189,9 @@ class TestDistanceAndMetrics:
         rng = random.Random(seed)
         for _ in range(10):
             a, b, c = (rng.randint(1, 30) for _ in range(3))
-            dab = graph_distance(topo, a, b)
-            assert dab == graph_distance(topo, b, a)
-            assert dab <= graph_distance(topo, a, c) + graph_distance(topo, c, b)
+            dist_a, dist_c = bfs(topo.adjacency, a), bfs(topo.adjacency, c)
+            assert dist_a[b] == bfs(topo.adjacency, b)[a]
+            assert dist_a[b] <= dist_a[c] + dist_c[b]
 
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(1, 14), extra=st.integers(0, 20), seed=st.integers(0, 10**6))
@@ -213,7 +212,6 @@ class TestDistanceAndMetrics:
             mets = metrics(topo, a)
             assert mets.depth == max(d[a, b] for b in procs)
             assert mets.delta == max(topo.degree(b) for b in procs)
-            assert [graph_distance(topo, a, b) for b in procs] == [d[a, b] for b in procs]
 
     def test_identity_invariant_large_instance(self):
         topo = generate_random_tree(2000, 6, seed=11)

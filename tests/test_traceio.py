@@ -221,6 +221,11 @@ class TestTraceReaderRejects:
         (lambda line: line.replace('"color":2', '"color":"x"'), "color 'x' is not an integer"),
         (lambda line: re.sub(r"d1colors=\S+", 'd1colors="ab"', line),
          "d1colors 'ab' are not integers"),
+        (lambda line: line.replace('"protocol":"seq_tree"', '"protocol":"bogus"'),
+         "protocol 'bogus' is unknown"),
+        (lambda line: line.replace('"protocol":"seq_tree"', '"protocol":["seq_tree"]'),
+         "protocol ['seq_tree'] is not a name"),
+        (lambda line: line.replace('"protocol":"seq_tree",', ''), "protocol None is not a name"),
     ])
     def test_values_of_the_wrong_type(self, damage, message):
         topo = builtin_topology("path3")
