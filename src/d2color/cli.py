@@ -17,7 +17,7 @@ from types import ModuleType
 from typing import NamedTuple
 
 from . import proto_arbitrary, proto_tree_par, proto_tree_seq
-from .engine import ClashDetected, ProtocolViolation, final_colors
+from .engine import FAIL_FAST, POLICIES, ClashDetected, ProtocolViolation, final_colors
 from .scenarios import BUILTIN_NAMES, TABLE1_NEXT_SCHEDULE, builtin_topology
 from .topology import (
     TopologyError,
@@ -181,9 +181,6 @@ def cmd_run(args) -> int:
         try:
             trace = sim.run(budget)
         except ClashDetected as exc:
-            sim.trace.status = "clash"
-            sim.trace.rounds = sim.clock + 1
-            sim.trace.claimed_by = sim.claimer()
             if writer:
                 writer.end(sim.trace)
                 trace_out.commit()
@@ -274,8 +271,9 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="generate a topology file")
-    gen.add_argument("--tree", action="store_true", help="generate a random tree")
-    gen.add_argument("--builtin", choices=BUILTIN_NAMES)
+    source = gen.add_mutually_exclusive_group(required=True)
+    source.add_argument("--tree", action="store_true", help="generate a random tree")
+    source.add_argument("--builtin", choices=BUILTIN_NAMES)
     gen.add_argument("--n", type=int, default=10)
     gen.add_argument("--max-degree", type=int, default=4)
     gen.add_argument("--seed", type=int, default=0)
@@ -298,8 +296,7 @@ def main(argv=None) -> int:
     run.add_argument("--end-phase", action=argparse.BooleanOptionalAction, default=True)
     run.add_argument("--root-always-ends", action="store_true")
     run.add_argument("--sibling-end-parallel", action="store_true")
-    run.add_argument("--clash-policy", default="fail_fast",
-                     choices=("fail_fast", "record_and_corrupt"))
+    run.add_argument("--clash-policy", default=FAIL_FAST, choices=POLICIES)
     run.add_argument("--pin-table1-choices", action="store_true")
     run.add_argument("--join-parent", type=int, default=None)
     run.add_argument("--trace-out")

@@ -1,29 +1,34 @@
 """Synchronous round engine: clock, broadcast delivery, clash detection, trace.
 
 One round: the clock ticks, clock-guard handlers may each emit at most one
-broadcast (broadcasts happen only at the beginning of a slot), external
-messages for the round are handed over off-medium, clashes are detected over
-the collected broadcast set, surviving messages are delivered to neighbors
-within the same round (or the next one, for simulations built with
-delivery_delay=1), reception handlers run, and changed process states are
-snapshotted.  State changed during round t can therefore trigger a broadcast
-no earlier than round t+1.
+broadcast (broadcasts happen only at the beginning of a slot), in the start
+round the root's on_start runs (the START, the only off-medium event, given to
+the simulation when it is built), clashes are detected over the collected
+broadcast set, surviving messages are delivered to neighbors within the same
+round (or the next one, for simulations built with delivery_delay=1),
+reception handlers run, and changed process states are snapshotted.  State
+changed during round t can therefore trigger a broadcast no earlier than round
+t+1.
 
 The clock ticks only at processes whose may_act holds.  The engine re-reads
-may_act after each round for the processes that round touched (polled, handed
-an external message, or delivered to); state set on a process outside its
-handlers must therefore be followed by set_topology, which re-reads it for all.
+may_act after each round for the processes that round touched (polled,
+started, or delivered to); state set on a process outside its handlers must
+therefore be followed by set_topology, which re-reads it for all.
 
-Each finished round goes to the simulation's sink as one Round: its external
-deliveries, broadcasts, clash events and state changes, each list in the order
-the engine made them.  The sink is called once for every round that ran, in
-increasing round order, as the last step of the round; a fail-fast clash round
-is handed over before ClashDetected is raised, and a round cut short by a
-protocol violation is never handed over.  The default sink, Trace.add_round,
-keeps every record in the simulation's Trace.  A caller that sets sim.sink to
-a function of its own (one that writes each round to a file, say) keeps none,
+Each finished round goes to the simulation's sink as one Round: its START,
+broadcasts, clash events and state changes, each list in the order the engine
+made them.  The sink is called once for every round that ran, in increasing
+round order, as the last step of the round; a fail-fast clash round is handed
+over before ClashDetected is raised, and a round cut short by a protocol
+violation is never handed over.  The default sink, Trace.add_round, keeps
+every record in the simulation's Trace.  A caller that sets sim.sink to a
+function of its own (one that writes each round to a file, say) keeps none,
 and the Trace that run returns then holds only the meta and the end fields.
 last_snapshots holds the latest recorded state of every process either way.
+
+The end fields are the engine's alone: each finished round sets the trace's
+rounds and, once a process claims termination, its claimed_by; run sets its
+status on every ending, a fail-fast clash's before ClashDetected propagates.
 """
 
 from __future__ import annotations
@@ -37,7 +42,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple
 
-from .messages import Message, New, Start
+from .messages import Message, Start
 from .topology import Topology
 
 FAIL_FAST = "fail_fast"
@@ -46,10 +51,6 @@ POLICIES = (FAIL_FAST, RECORD_AND_CORRUPT)
 
 
 class EngineError(Exception):
-    pass
-
-
-class DuplicateStart(EngineError):
     pass
 
 
@@ -107,6 +108,7 @@ class RunStatus(str, Enum):
     TERMINATED = "terminated"
     PARTIAL = "partial"
     BUDGET_EXHAUSTED = "budget_exhausted"
+    CLASH = "clash"
 
 
 @dataclass
@@ -196,8 +198,8 @@ class Process:
     def on_message(self, msg: Message) -> None:
         pass
 
-    def on_external(self, msg: Message, clock: int) -> None:
-        raise ProtocolViolation(f"unexpected external message {msg.kind}")
+    def on_start(self, clock: int) -> None:
+        raise ProtocolViolation(f"process {self.ident} cannot be started")
 
     def snapshot(self) -> dict:
         return {}
@@ -224,6 +226,7 @@ class Simulation:
         handler_order_seed: int | None = None,
         delivery_delay: int = 0,
         meta: dict | None = None,
+        start: tuple[int, int] | None = None,
     ):
         if set(processes) != set(range(1, topology.n + 1)):
             raise EngineError("need exactly one process per topology index")
@@ -231,6 +234,8 @@ class Simulation:
             raise EngineError("delivery_delay must be 0 (same slot) or 1 (next slot)")
         if policy not in POLICIES:
             raise EngineError(f"unknown clash policy {policy!r}; expected one of {POLICIES}")
+        if start is not None and (start[0] < 0 or start[1] not in processes):
+            raise EngineError(f"START {start} needs a round >= 0 and a process index")
         self.topology = topology
         self.processes = processes
         self.policy = policy
@@ -241,29 +246,16 @@ class Simulation:
         self.trace = Trace(meta=dict(meta or {}))
         self.sink = self.trace.add_round
         self.last_snapshots: dict[int, dict] = {}
-        self._externals: dict[int, list[tuple[int, Message]]] = {}
+        self._start = start  # (round, root) until the START is handed over
         self._pending_inbox: dict[int, list[tuple[int, Message]]] = {}
-        self._claimer: int | None = None
         self._armed = {i for i, p in processes.items() if p.may_act}
         self._round_was_active = True
-        self._start_scheduled = False
         self._order_rng = (
             random.Random(handler_order_seed) if handler_order_seed is not None else None
         )
 
-    def schedule_external(self, round: int, target: int, message: Message) -> None:
-        if round < 0:
-            raise EngineError("external messages are scheduled at rounds >= 0")
-        if not isinstance(message, (Start, New)):
-            raise EngineError(f"{message.kind} cannot be delivered externally")
-        if isinstance(message, Start):
-            if self._start_scheduled:
-                raise DuplicateStart("a scenario carries at most one START")
-            self._start_scheduled = True
-        self._externals.setdefault(round, []).append((target, message))
-
     def claimer(self) -> int | None:
-        return self._claimer
+        return self.trace.claimed_by
 
     def set_topology(self, topology: Topology, new_processes: dict[int, Process]) -> None:
         """Swap in an extended topology mid-run (dynamic join); re-read every may_act."""
@@ -291,15 +283,16 @@ class Simulation:
             if msg is not None:
                 pending[i] = msg
 
-        # off-medium deliveries (START, NEW to a joiner) are processed within
-        # the slot, after its broadcast opportunities are gone
-        externals = self._externals.pop(t, ())
+        # the START is handed over off-medium within its slot, after the
+        # slot's broadcast opportunities are gone
         rnd = Round(t, [], [], [], [])
-        for target, msg in externals:
-            procs[target].on_external(msg, t)
-            rnd.externals.append(ExternalRecord(t, target, msg))
         touched = set(polled)
-        touched.update(target for target, _ in externals)
+        if self._start is not None and self._start[0] == t:
+            root = self._start[1]
+            self._start = None
+            procs[root].on_start(t)
+            rnd.externals.append(ExternalRecord(t, root, Start()))
+            touched.add(root)
 
         events = detect_clashes(self.topology, t, set(pending))
         fatal = events
@@ -329,20 +322,19 @@ class Simulation:
         else:
             ready = self._pending_inbox
             self._pending_inbox = inbox
+        # each inbox was filled in ascending origin order
         for w in self._ordered(ready):
-            deliveries = ready[w]
-            if len(deliveries) > 1:
-                deliveries = sorted(deliveries, key=lambda p: p[0])
-            for _, msg in deliveries:
+            for _, msg in ready[w]:
                 procs[w].on_message(msg)
         touched.update(ready)
 
-        self._round_was_active = bool(pending or ready or externals)
+        self._round_was_active = bool(pending or ready or rnd.externals)
         self._finish_round(rnd, touched)
 
     def _finish_round(self, rnd: Round, touched: set[int]) -> None:
-        """Snapshot, re-arm and note a claim for each touched process, then call the sink."""
+        """Snapshot, re-arm and note a claim for each touched process; count the round; sink it."""
         t, changes = rnd.round, rnd.changes
+        trace = self.trace
         last = self.last_snapshots
         armed = self._armed
         procs = self.processes
@@ -358,32 +350,36 @@ class Simulation:
                 armed.add(i)
             else:
                 armed.discard(i)
-            if self._claimer is None and p.claimed_termination:
-                self._claimer = i
+            if trace.claimed_by is None and p.claimed_termination:
+                trace.claimed_by = i
+        trace.rounds = t + 1
         self.sink(rnd)
 
     def _quiescent(self) -> bool:
-        return not (self._armed or self._externals or self._pending_inbox)
+        return not (self._armed or self._start or self._pending_inbox)
 
     def run(self, max_rounds: int) -> Trace:
-        steps = 0
-        status = None
-        while True:
-            if self.done_fn(self):
-                status = RunStatus.TERMINATED
-                break
-            if steps >= max_rounds:
-                status = RunStatus.BUDGET_EXHAUSTED
-                break
-            self.step_round()
-            steps += 1
-            # a partial run ends with one traffic-free round, which its trace counts
-            if not self._round_was_active and not self.done_fn(self) and self._quiescent():
-                status = RunStatus.PARTIAL
-                break
-        self.trace.status = status.value
-        self.trace.rounds = steps
-        self.trace.claimed_by = self.claimer()
+        """Step up to max_rounds rounds until the run ends, and record its status in the trace."""
+        steps, status = 0, None
+        try:
+            while status is None:
+                if self.done_fn(self):
+                    status = RunStatus.TERMINATED
+                elif steps >= max_rounds:
+                    status = RunStatus.BUDGET_EXHAUSTED
+                else:
+                    self.step_round()
+                    steps += 1
+                    # a partial run ends with one traffic-free round, which its trace counts
+                    if (not self._round_was_active and not self.done_fn(self)
+                            and self._quiescent()):
+                        status = RunStatus.PARTIAL
+        except ClashDetected:
+            status = RunStatus.CLASH
+            raise
+        finally:
+            if status is not None:  # a protocol violation ends a run with no status
+                self.trace.status = status.value
         return self.trace
 
 
@@ -396,7 +392,7 @@ def start_simulation(
     policy: str,
     **options,
 ) -> Simulation:
-    """A simulation with one process per index and the START scheduled at root.
+    """A simulation with one process per index and its START at root in start_round.
 
     make_process(index, identity, neighbor_identities) builds each process.
     The trace meta records root, start_round and policy, then meta on top.
@@ -407,9 +403,8 @@ def start_simulation(
         for i in range(1, topology.n + 1)
     }
     meta = {"root": root, "start_round": start_round, "policy": policy, **meta}
-    sim = Simulation(topology, processes, policy=policy, meta=meta, **options)
-    sim.schedule_external(start_round, root, Start())
-    return sim
+    return Simulation(topology, processes, policy=policy, meta=meta, start=(start_round, root),
+                      **options)
 
 
 def detect_clashes(topology: Topology, t: int, origins: set[int]) -> list[ClashEvent]:

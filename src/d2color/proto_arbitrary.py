@@ -20,7 +20,7 @@ relayed correction.  Every broadcast returns the process to state 0.
 from __future__ import annotations
 
 from .engine import FAIL_FAST, Process, ProtocolViolation, Simulation, start_simulation
-from .messages import (ColorArb, Correct, CorrectedColor, ResumeColoring, Start, TermArb,
+from .messages import (ColorArb, Correct, CorrectedColor, ResumeColoring, TermArb,
                        first_free_color)
 from .topology import Topology
 
@@ -62,9 +62,7 @@ class ArbProcess(Process):
             return choice
         return min(self.to_color)
 
-    def on_external(self, msg, clock):
-        if not isinstance(msg, Start):
-            raise ProtocolViolation(f"unexpected external {msg.kind}")
+    def on_start(self, clock):
         self._on_color(ColorArb(self.ident, self.ident, -1, 0, ()))
 
     def on_message(self, msg):

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .engine import FAIL_FAST, Process, ProtocolViolation, Simulation, start_simulation
-from .messages import ColorPar, End, New, Start, TermPar, first_free_color
+from .messages import ColorPar, End, New, TermPar, first_free_color
 from .topology import Topology, build_topology
 from .verifier import d2_conflicts
 
@@ -82,9 +82,7 @@ class ParProcess(Process):
         self.sibling_end_parallel = sibling_end_parallel
         self.pending_new: tuple[int, int, int] | None = None
 
-    def on_external(self, msg, clock):
-        if not isinstance(msg, Start):
-            raise ProtocolViolation(f"unexpected external {msg.kind}")
+    def on_start(self, clock):
         cl = (clock + 1) % self.nb_cl
         self._accept_color(ColorPar(((self.ident, cl),), self.ident, -1, self.nb_cl))
 
@@ -138,13 +136,11 @@ class ParProcess(Process):
         if self.state in (1, 3) and clock % self.nb_cl_parent == self.color:
             if self.state == 1:
                 pairs = []
-                cl = 0
-                banned = {self.color, self.sender_cl}
+                taken = {self.color, self.sender_cl}
                 for k in sorted(self.to_color):
-                    while cl in banned:
-                        cl += 1
+                    cl = first_free_color(taken)
+                    taken.add(cl)
                     pairs.append((k, cl))
-                    cl += 1
                 self.assigned_pairs = dict(pairs)
                 self.state = 2
                 self.dirty = True
@@ -218,14 +214,6 @@ class JoinerProcess(Process):
             self.joined = True
             self.dirty = True
 
-    def on_external(self, msg, clock):
-        # a joiner may also be handed its announcement off-medium, e.g. when
-        # the radio link exists before the topology edge is registered
-        if isinstance(msg, New):
-            self.on_message(msg)
-            return
-        super().on_external(msg, clock)
-
     def snapshot(self) -> dict:
         return {
             "state": self.state,
@@ -267,6 +255,10 @@ def _end_only_clash(event, pending) -> bool:
     return all(isinstance(pending[p], End) for p in event.participants if p in pending)
 
 
+# rounds a join waits for its announcement to reach the new process
+JOIN_WAIT = 64
+
+
 @dataclass
 class JoinOutcome:
     topology: Topology
@@ -276,7 +268,7 @@ class JoinOutcome:
     round: int
 
 
-def execute_join(sim: Simulation, parent_index: int, max_wait: int = 64) -> JoinOutcome:
+def execute_join(sim: Simulation, parent_index: int) -> JoinOutcome:
     """Attach one new process under parent_index after a finished END wave.
 
     The parent picks the joiner's color and identity from its local knowledge
@@ -316,10 +308,9 @@ def execute_join(sim: Simulation, parent_index: int, max_wait: int = 64) -> Join
     parent.assigned_pairs[new_id] = color
     sim.set_topology(extended, {joiner_index: joiner})
 
-    for _ in range(max_wait):
+    for _ in range(JOIN_WAIT):
         sim.step_round()
         if joiner.joined:
-            sim.trace.rounds = sim.clock + 1
             return JoinOutcome(extended, joiner_index, new_id, joiner.color, sim.clock)
     raise JoinError("join announcement never reached the new process")
 

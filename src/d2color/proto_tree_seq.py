@@ -14,7 +14,7 @@ from __future__ import annotations
 import random
 
 from .engine import FAIL_FAST, Process, ProtocolViolation, Simulation, start_simulation
-from .messages import ColorSeq, Start, TermSeq, first_free_color
+from .messages import ColorSeq, TermSeq, first_free_color
 from .topology import Topology
 
 
@@ -38,9 +38,7 @@ class SeqProcess(Process):
         self.next_child_order = next_child_order
         self.rng = rng
 
-    def on_external(self, msg, clock):
-        if not isinstance(msg, Start):
-            raise ProtocolViolation(f"unexpected external {msg.kind}")
+    def on_start(self, clock):
         self._accept_color(ColorSeq(self.ident, self.ident, -1, ()))
 
     def on_message(self, msg):

@@ -207,31 +207,30 @@ class TraceReader:
     """A trace read one round at a time; it holds one round's records, never the whole trace.
 
     lines are the file's lines, as text.  meta is read on creation, from the
-    line after the format line.  by_round() yields the rounds, which must not
-    decrease from one line to the next, and can be run once; once it is
-    exhausted, status, rounds and claimed_by hold the end line's fields.
-    read_trace, which holds the whole trace, takes rounds in any order, so that
-    it names every damaged line itself; here a round raised by damage shows
-    only at the line after it.  n is the topology's process count, and the
-    fields the verifier reads are checked against it: the meta's root and every
-    broadcast origin, clash victim and participant and state-change proc lie in
-    1..n, the meta's start_round, a state's color and a COLOR_SEQ's d1colors
-    are integers, and the meta's protocol is one the verifier knows (a key of
-    verifier.PROMISES).  Every fault raises TraceFormatError naming its line.
+    line after the format line, which must be a meta line.  by_round() yields
+    the rounds, which must not decrease from one line to the next, and can be
+    run once; once it is exhausted, status, rounds and claimed_by hold the end
+    line's fields.  read_trace, which holds the whole trace, takes rounds in
+    any order, so that it names every damaged line itself; here a round raised
+    by damage shows only at the line after it.  n is the topology's process
+    count, and the fields the verifier reads are checked against it: the
+    meta's root and every broadcast origin, clash victim and participant and
+    state-change proc lie in 1..n, the meta's start_round, a state's color and
+    a COLOR_SEQ's d1colors are integers, and the meta's protocol is one the
+    verifier knows (a key of verifier.PROMISES).  Every fault raises
+    TraceFormatError naming its line.
     """
 
     def __init__(self, lines, n: int):
         self._n = n
-        self.meta: dict = {}
         self.status, self.rounds, self.claimed_by = "", 0, None
         self._records = chain.from_iterable(_batches(lines))
         first = next(self._records, None)
-        if first is not None and first[1] == "meta":
-            number, _, self.meta = first
-            if problem := _meta_problem(self.meta, n):
-                raise TraceFormatError(f"line {number}: {problem}")
-        elif first is not None:
-            self._records = chain([first], self._records)
+        if first is None or first[1] != "meta":
+            raise TraceFormatError("line 2: the meta line must follow the format line")
+        number, _, self.meta = first
+        if problem := _meta_problem(self.meta, n):
+            raise TraceFormatError(f"line {number}: {problem}")
 
     def by_round(self) -> Iterator[Round]:
         n, rnd = self._n, None

@@ -2,10 +2,11 @@ import re
 
 import pytest
 
-from d2color import proto_tree_par
-from d2color.cli import PROTOCOLS, main
-from d2color.engine import ProtocolViolation
-from d2color.topology import load_topology
+from d2color import proto_arbitrary, proto_tree_par
+from d2color.cli import PROTOCOLS, auto_budget, main
+from d2color.engine import ClashDetected, ProtocolViolation
+from d2color.topology import generate_random_connected, load_topology, save_topology
+from d2color.traceio import trace_to_text
 
 
 def run_cli(*args):
@@ -34,6 +35,12 @@ class TestGen:
 
     def test_infeasible_cap_is_usage_error(self):
         assert run_cli("gen", "--tree", "--n", "3", "--max-degree", "1") == 3
+
+    @pytest.mark.parametrize("source", [[], ["--tree", "--builtin", "path3"]])
+    def test_one_source_is_required(self, source, capsys):
+        assert run_cli("gen", "--n", "5", *source) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "--tree" in err and "--builtin" in err
 
 
 class TestRunAndVerify:
@@ -200,6 +207,21 @@ class TestRunAndVerify:
         assert err.count("\n") == 1
         assert err.endswith(f": line {k + 1}: malformed edge= value '1'\n")
 
+    def test_library_clash_records_the_end_line_the_cli_writes(self, tmp_path):
+        topology = generate_random_connected(30, 8, 0)
+        topo_path, trace_path = tmp_path / "g.topo", tmp_path / "g.trace"
+        save_topology(topology, str(topo_path))
+        assert run_cli("run", "--topology", str(topo_path), "--protocol", "arbitrary",
+                       "--trace-out", str(trace_path)) == 2
+        sim = proto_arbitrary.make_simulation(topology, 1)
+        with pytest.raises(ClashDetected) as clash:
+            sim.run(auto_budget(topology.n, topology.delta))
+        assert sim.trace.status == "clash"
+        assert sim.trace.rounds == clash.value.events[0].round + 1 == 66
+        written = trace_path.read_text()
+        assert trace_to_text(sim.trace).splitlines()[-1] == written.splitlines()[-1]
+        assert trace_to_text(sim.trace) == written
+
     def test_byte_identical_reruns(self, tmp_path):
         topo_path = tmp_path / "t.topo"
         run_cli("gen", "--tree", "--n", "40", "--max-degree", "5", "--seed", "3",
@@ -299,6 +321,15 @@ class TestVerifyRejectsMismatchedTraces:
         trace_path.write_text("\n".join(lines) + "\n")
         err = self._verify_error(capsys, trace_path, tmp_path / "path3.topo")
         assert err == f"cannot load inputs: line {k + 1}: {message}\n"
+
+    def test_trace_with_no_meta_line(self, tmp_path, capsys):
+        trace_path = self._trace(tmp_path, "star4")
+        lines = trace_path.read_text().splitlines()
+        assert lines[1].startswith("meta=")
+        del lines[1]
+        trace_path.write_text("\n".join(lines) + "\n")
+        err = self._verify_error(capsys, trace_path, tmp_path / "star4.topo")
+        assert err == "cannot load inputs: line 2: the meta line must follow the format line\n"
 
     def test_round_below_the_line_before(self, tmp_path, capsys):
         trace_path = self._trace(tmp_path, "path3", "--root", "2")

@@ -2,7 +2,6 @@ import pytest
 
 from d2color.engine import (
     ClashDetected,
-    DuplicateStart,
     EngineError,
     Process,
     RECORD_AND_CORRUPT,
@@ -10,7 +9,7 @@ from d2color.engine import (
     detect_clashes,
     recheck_clashes,
 )
-from d2color.messages import Start, TermSeq
+from d2color.messages import TermSeq
 from d2color.proto_tree_seq import SeqProcess
 from d2color.proto_tree_seq import make_simulation as make_seq
 from d2color.scenarios import builtin_topology
@@ -89,21 +88,13 @@ class TestConstruction:
 
 
 class TestExternals:
-    def test_duplicate_start_rejected(self):
-        sim = beacon_sim(line4(), {})
-        sim.schedule_external(0, 1, Start())
-        with pytest.raises(DuplicateStart):
-            sim.schedule_external(1, 2, Start())
-
     def test_negative_round_rejected(self):
-        sim = beacon_sim(line4(), {})
-        with pytest.raises(EngineError):
-            sim.schedule_external(-1, 1, Start())
+        with pytest.raises(EngineError, match="START"):
+            make_seq(line4(), 1, start_round=-1)
 
-    def test_broadcast_cannot_be_external(self):
-        sim = beacon_sim(line4(), {})
-        with pytest.raises(EngineError):
-            sim.schedule_external(0, 1, TermSeq(0, 1, 0, 0))
+    def test_root_outside_the_topology_rejected(self):
+        with pytest.raises(EngineError, match="START"):
+            make_seq(line4(), 5)
 
 
 class TestClashDetection:

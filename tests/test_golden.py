@@ -264,7 +264,7 @@ GEN_REUSE_DIGEST = "4bc53add8193cd5cd04af334845653d130924431f41c77e2c17f41de3f5c
 
 def test_cli_gen_reused_identities_digest(tmp_path, capsys):
     out = tmp_path / "gen.topo"
-    text = _cli(capsys, "gen", "--n", "40", "--seed", "3",
+    text = _cli(capsys, "gen", "--tree", "--n", "40", "--seed", "3",
                 "--identity-mode", "distance2_unique_with_reuse", "-o", str(out))
     text = text.replace(str(out), "F") + out.read_text()
     assert _sha(text) == GEN_REUSE_DIGEST

@@ -68,14 +68,6 @@ class TestJoin:
         with pytest.raises(JoinError):
             execute_join(sim, 3)
 
-    def test_external_new_also_joins(self):
-        from d2color.messages import New
-        from d2color.proto_tree_par import JoinerProcess
-
-        j = JoinerProcess(4, ident=9, neighbor_ids=(3,))
-        j.on_external(New(cl=0, delta=2, new_id=9), clock=12)
-        assert j.joined and j.color == 0 and j.max_nb_cl == 3
-
     def test_second_join_under_one_parent_gets_a_fresh_color(self):
         # each join sets the parent's announcement outside its handlers;
         # set_topology must re-arm it, or the announcement is never sent

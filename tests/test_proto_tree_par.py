@@ -3,7 +3,7 @@ import pytest
 from conftest import run_par, tree_corpus
 from d2color.cli import auto_budget
 from d2color.engine import ProtocolViolation
-from d2color.messages import ColorPar, End, Start, TermPar
+from d2color.messages import ColorPar, End, TermPar
 from d2color.proto_tree_par import (
     MissingPairForUncoloredChild,
     ParProcess,
@@ -81,17 +81,17 @@ class TestSlotFormula:
 
     def test_start_at_clock_0(self):
         p = self.make_proc(3)
-        p.on_external(Start(), clock=0)
+        p.on_start(clock=0)
         assert p.color == 1
 
     def test_start_at_clock_5_budget_4(self):
         p = self.make_proc(3)  # nb_cl = 4
-        p.on_external(Start(), clock=5)
+        p.on_start(clock=5)
         assert p.color == (5 + 1) % 4 == 2
 
     def test_singleton_budget_1(self):
         p = self.make_proc(0)
-        p.on_external(Start(), clock=0)
+        p.on_start(clock=0)
         assert p.color == 0
         assert p.state == 3
 

@@ -200,7 +200,7 @@ class TestTraceReaderRejects:
     def test_a_meta_line_after_an_event(self):
         lines = list(CLASHING)
         lines[1], lines[2] = lines[2], lines[1]
-        with pytest.raises(TraceFormatError, match=r"^line 3: the meta line must follow"):
+        with pytest.raises(TraceFormatError, match=r"^line 2: the meta line must follow"):
             _read_all(lines, 45)
 
     def test_indices_outside_the_topology(self):
