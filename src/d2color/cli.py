@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 from . import proto_arbitrary, proto_tree_par, proto_tree_seq
 from .engine import FAIL_FAST, POLICIES, ClashDetected, ProtocolViolation, final_colors
-from .scenarios import BUILTIN_NAMES, TABLE1_NEXT_SCHEDULE, builtin_topology
+from .scenarios import BUILTINS, TABLE1_NEXT_SCHEDULE, builtin_topology
 from .topology import (
     TopologyError,
     assign_identities,
@@ -256,7 +256,7 @@ def cmd_bench(args) -> int:
                 dd = mets.delta * mets.depth
                 ratio = claim / dd if dd else 0.0
                 worst = max(worst, ratio)
-                total = sum(trace.broadcast_counts().values())
+                total = sum(report.message_counts.values())
                 bound_ok = all(b.ok for b in report.bound_checks)
                 print(
                     f"{proto}\t{n}\t{mets.delta}\t{mets.depth}\t{trace.rounds}"
@@ -273,7 +273,7 @@ def main(argv=None) -> int:
     gen = sub.add_parser("gen", help="generate a topology file")
     source = gen.add_mutually_exclusive_group(required=True)
     source.add_argument("--tree", action="store_true", help="generate a random tree")
-    source.add_argument("--builtin", choices=BUILTIN_NAMES)
+    source.add_argument("--builtin", choices=BUILTINS)
     gen.add_argument("--n", type=int, default=10)
     gen.add_argument("--max-degree", type=int, default=4)
     gen.add_argument("--seed", type=int, default=0)
@@ -286,7 +286,7 @@ def main(argv=None) -> int:
 
     run = sub.add_parser("run", help="execute a protocol scenario")
     run.add_argument("--topology")
-    run.add_argument("--builtin", choices=BUILTIN_NAMES)
+    run.add_argument("--builtin", choices=BUILTINS)
     run.add_argument("--protocol", required=True, choices=PROTOCOLS)
     run.add_argument("--root", type=int, default=1)
     run.add_argument("--start-round", type=_non_negative, default=0)

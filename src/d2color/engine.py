@@ -180,12 +180,11 @@ def final_colors(finals: dict[int, dict]) -> dict[int, int]:
 class Process:
     """Handler contract the engine drives.
 
-    Subclasses see only their identity and neighbor identities; the index is
-    the engine's delivery address and must never enter a message payload.
+    A process knows only its identity and its neighbors' identities; the
+    engine's process indices are its delivery addresses, which no process holds.
     """
 
-    def __init__(self, index: int, ident: int, neighbor_ids: tuple[int, ...]):
-        self.index = index
+    def __init__(self, ident: int, neighbor_ids: tuple[int, ...]):
         self.ident = ident
         self.neighbor_ids = frozenset(neighbor_ids)
         self.degree = len(neighbor_ids)
@@ -239,7 +238,7 @@ class Simulation:
         self.topology = topology
         self.processes = processes
         self.policy = policy
-        self.done_fn = done_fn or (lambda sim: sim.claimer() is not None)
+        self.done_fn = done_fn or (lambda sim: sim.trace.claimed_by is not None)
         self.clash_exempt = clash_exempt
         self.delivery_delay = delivery_delay
         self.clock = -1
@@ -247,15 +246,12 @@ class Simulation:
         self.sink = self.trace.add_round
         self.last_snapshots: dict[int, dict] = {}
         self._start = start  # (round, root) until the START is handed over
-        self._pending_inbox: dict[int, list[tuple[int, Message]]] = {}
+        self._pending_inbox: dict[int, list[Message]] = {}
         self._armed = {i for i, p in processes.items() if p.may_act}
         self._round_was_active = True
         self._order_rng = (
             random.Random(handler_order_seed) if handler_order_seed is not None else None
         )
-
-    def claimer(self) -> int | None:
-        return self.trace.claimed_by
 
     def set_topology(self, topology: Topology, new_processes: dict[int, Process]) -> None:
         """Swap in an extended topology mid-run (dynamic join); re-read every may_act."""
@@ -301,14 +297,14 @@ class Simulation:
         rnd.clashes.extend(events)
 
         corrupted_at = {e.victim for e in events}
-        inbox: dict[int, list[tuple[int, Message]]] = {}
+        inbox: dict[int, list[Message]] = {}
         for origin in sorted(pending):
             msg = pending[origin]
             receivers = []
             for w in self.topology.neighbors(origin):
                 if w not in corrupted_at:
                     receivers.append(w)
-                    inbox.setdefault(w, []).append((origin, msg))
+                    inbox.setdefault(w, []).append(msg)
             rnd.broadcasts.append(BroadcastRecord(t, origin, msg, tuple(receivers)))
 
         # fail-fast aborts after the physical broadcasts are on record but
@@ -324,7 +320,7 @@ class Simulation:
             self._pending_inbox = inbox
         # each inbox was filled in ascending origin order
         for w in self._ordered(ready):
-            for _, msg in ready[w]:
+            for msg in ready[w]:
                 procs[w].on_message(msg)
         touched.update(ready)
 
@@ -394,12 +390,12 @@ def start_simulation(
 ) -> Simulation:
     """A simulation with one process per index and its START at root in start_round.
 
-    make_process(index, identity, neighbor_identities) builds each process.
+    make_process(identity, neighbor_identities) builds the process at each index.
     The trace meta records root, start_round and policy, then meta on top.
     Remaining options (done_fn among them) go to Simulation.
     """
     processes = {
-        i: make_process(i, topology.identity(i), topology.neighbor_identities(i))
+        i: make_process(topology.identity(i), topology.neighbor_identities(i))
         for i in range(1, topology.n + 1)
     }
     meta = {"root": root, "start_round": start_round, "policy": policy, **meta}

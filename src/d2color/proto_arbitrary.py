@@ -36,12 +36,11 @@ def replace_last(colors: dict[int, None], color: int) -> None:
 class ArbProcess(Process):
     def __init__(
         self,
-        index: int,
         ident: int,
         neighbor_ids: tuple[int, ...],
         next_schedule: dict[int, list[int]] | None = None,
     ):
-        super().__init__(index, ident, neighbor_ids)
+        super().__init__(ident, neighbor_ids)
         self.state = 0
         self.d1: dict[int, None] = {}
         self.d2: dict[int, None] = {}

@@ -60,14 +60,13 @@ class ConsistencyBroken(MergeError):
 class ParProcess(Process):
     def __init__(
         self,
-        index: int,
         ident: int,
         neighbor_ids: tuple[int, ...],
         end_phase: bool = True,
         root_always_ends: bool = False,
         sibling_end_parallel: bool = False,
     ):
-        super().__init__(index, ident, neighbor_ids)
+        super().__init__(ident, neighbor_ids)
         self.state = 0
         self.nb_cl = self.degree + 1
         self.nb_cl_parent = 0
@@ -195,8 +194,8 @@ class ParProcess(Process):
 class JoinerProcess(Process):
     """A process outside the colored tree, waiting for its NEW announcement."""
 
-    def __init__(self, index: int, ident: int, neighbor_ids: tuple[int, ...]):
-        super().__init__(index, ident, neighbor_ids)
+    def __init__(self, ident: int, neighbor_ids: tuple[int, ...]):
+        super().__init__(ident, neighbor_ids)
         self.state = 0
         self.color: int | None = None
         self.max_nb_cl = 0
@@ -300,7 +299,7 @@ def execute_join(sim: Simulation, parent_index: int) -> JoinOutcome:
         kind=old.kind,
         n=old.n + 1,
     )
-    joiner = JoinerProcess(joiner_index, new_id, (parent.ident,))
+    joiner = JoinerProcess(new_id, (parent.ident,))
     parent.neighbor_ids = frozenset(parent.neighbor_ids | {new_id})
     parent.degree += 1
     parent.pending_new = (color, delta, new_id)

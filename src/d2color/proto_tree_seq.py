@@ -21,13 +21,12 @@ from .topology import Topology
 class SeqProcess(Process):
     def __init__(
         self,
-        index: int,
         ident: int,
         neighbor_ids: tuple[int, ...],
         next_child_order: str = "min",
         rng: random.Random | None = None,
     ):
-        super().__init__(index, ident, neighbor_ids)
+        super().__init__(ident, neighbor_ids)
         self.state = 0
         self.parent: int | None = None
         self.sender_cl: int | None = None

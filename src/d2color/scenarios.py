@@ -16,27 +16,21 @@ from __future__ import annotations
 from .topology import Topology, build_topology
 from .verifier import completion_round
 
-BUILTIN_NAMES = ("singleton", "path3", "star4", "table1", "binary15")
+# (edges, kind, n) of each built-in topology, by name, in the order the CLI lists them
+BUILTINS = {
+    "singleton": ((), "tree", 1),
+    "path3": (((1, 2), (2, 3)), "tree", 3),
+    "star4": (((1, 2), (1, 3), (1, 4), (1, 5)), "tree", 5),
+    "table1": (((1, 2), (1, 4), (2, 3), (2, 5), (3, 4)), "general", 5),
+    "binary15": (tuple((i, c) for i in range(1, 8) for c in (2 * i, 2 * i + 1)), "tree", 15),
+}
 
 
 def builtin_topology(name: str) -> Topology:
-    if name == "singleton":
-        return build_topology([], kind="tree", n=1)
-    if name == "path3":
-        return build_topology([(1, 2), (2, 3)], kind="tree")
-    if name == "star4":
-        return build_topology([(1, 2), (1, 3), (1, 4), (1, 5)], kind="tree")
-    if name == "table1":
-        return build_topology(
-            [(1, 2), (1, 4), (2, 3), (2, 5), (3, 4)], kind="general"
-        )
-    if name == "binary15":
-        edges = []
-        for i in range(1, 8):
-            edges.append((i, 2 * i))
-            edges.append((i, 2 * i + 1))
-        return build_topology(edges, kind="tree")
-    raise ValueError(f"unknown builtin topology {name!r}")
+    if name not in BUILTINS:
+        raise ValueError(f"unknown builtin topology {name!r}")
+    edges, kind, n = BUILTINS[name]
+    return build_topology(list(edges), kind=kind, n=n)
 
 
 # traversal choices the reference execution makes at "pick any uncolored

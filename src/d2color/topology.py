@@ -7,13 +7,16 @@ transmitted).  Identities must be pairwise distinct within every closed
 
 Two primitives walk the graph: `bfs` gives hop distances in visiting order
 (reachability, depth, distances, identity and greedy color order), and
-`two_hop` gives the processes within two hops of one process.
+`two_hop` gives the processes within two hops of one process.  One scan,
+`repeats_within_two_hops`, finds the pairs within two hops that share an
+identity or a color.
 """
 
 from __future__ import annotations
 
 import random
 from collections import deque
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .messages import first_free_color
@@ -158,19 +161,47 @@ def build_topology(
 
 
 def validate_identities(topology: Topology) -> None:
-    """Check distance-<=2 identity distinctness.
+    """Check distance-<=2 identity distinctness."""
+    clashes = repeats_within_two_hops(topology, topology.identities)
+    if clashes:
+        a, b, dist = clashes[0]
+        raise IdentityClashWithin2Hops(
+            f"processes {a} and {b}, {dist} hop(s) apart, share identity {topology.identities[a]}"
+        )
 
-    Every pair at distance <=2 shares a closed neighborhood with some center,
-    so checking each {c} | neighbors(c) for duplicates covers all pairs.
+
+def repeats_within_two_hops(
+    topology: Topology, labels: Sequence[int | None]
+) -> list[tuple[int, int, int]]:
+    """Pairs (a, b, distance), a < b, within two hops whose labels are equal and not None.
+
+    labels is indexed by process (entry 0 unused).  Every such pair lies in
+    the ball {c} | neighbors(c) of some centre c: the smaller process of a
+    distance-1 pair, the smallest common neighbor of a distance-2 pair.  A
+    ball whose labels are all distinct is passed over; the others are scanned
+    pair by pair.  Pairs come by ascending centre, then distance, then (a, b).
     """
+    adjacency = topology.adjacency
+    out = []
+    found = set()  # the distance-2 pairs reported so far
     for c in range(1, topology.n + 1):
-        ball = (c,) + topology.adjacency[c]
-        ids = [topology.identities[m] for m in ball]
-        if len(set(ids)) != len(ids):
-            dup = next(v for v in ids if ids.count(v) > 1)
-            raise IdentityClashWithin2Hops(
-                f"identity {dup} repeats inside the closed neighborhood of process {c}"
-            )
+        nbrs, mine = adjacency[c], labels[c]
+        ball = {labels[u] for u in nbrs}
+        ball.add(mine)
+        if len(ball) == len(nbrs) + 1:
+            continue
+        if mine is not None:
+            out += [(c, u, 1) for u in nbrs if u > c and labels[u] == mine]
+        for i, a in enumerate(nbrs):
+            label = labels[a]
+            if label is None:
+                continue
+            for b in nbrs[i + 1:]:
+                # adjacent neighbors are a distance-1 pair, reported at their own centre
+                if labels[b] == label and b not in adjacency[a] and (a, b) not in found:
+                    found.add((a, b))
+                    out.append((a, b, 2))
+    return out
 
 
 def generate_random_tree(n: int, max_degree: int, seed: int) -> Topology:

@@ -217,8 +217,9 @@ class TraceReader:
     meta's root and every broadcast origin, clash victim and participant and
     state-change proc lie in 1..n, the meta's start_round, a state's color and
     a COLOR_SEQ's d1colors are integers, and the meta's protocol is one the
-    verifier knows (a key of verifier.PROMISES).  Every fault raises
-    TraceFormatError naming its line.
+    verifier knows (a key of verifier.PROMISES).  A meta without a root, a
+    start_round or a protocol is refused, as the bounds depend on all three.
+    Every fault raises TraceFormatError naming its line.
     """
 
     def __init__(self, lines, n: int):
@@ -262,7 +263,7 @@ def open_trace(path: str, n: int) -> Iterator[TraceReader]:
 
 
 def _meta_problem(meta: dict, n: int) -> str | None:
-    root, start = meta.get("root", 1), meta.get("start_round", 0)
+    root, start = meta.get("root"), meta.get("start_round")
     if type(root) is not int or not 1 <= root <= n:
         return f"root {root!r} is not in 1..{n}"
     if type(start) is not int:

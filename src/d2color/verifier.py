@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 from .engine import Trace, detect_clashes, final_colors, gc_paused, recheck_clashes
 from .messages import color_seq_bits, color_seq_bits_bound, first_free_color
-from .topology import GraphMetrics, Topology, bfs, metrics, two_hop
+from .topology import GraphMetrics, Topology, bfs, metrics, repeats_within_two_hops, two_hop
 
 ROUND_BOUND_FACTOR = 4  # frozen headroom multiplier for the d*delta round bound
 
@@ -102,35 +102,9 @@ class VerificationReport:
         return "\n".join(lines) + "\n"
 
 
-def two_hop_pairs(topology: Topology):
-    """All index pairs (a, b), a < b, at graph distance 1 or 2."""
-    seen = set()
-    for c in range(1, topology.n + 1):
-        nbrs = topology.neighbors(c)
-        for u in nbrs:
-            key = (min(c, u), max(c, u))
-            if key not in seen:
-                seen.add(key)
-                yield key + (1,)
-        for i in range(len(nbrs)):
-            for j in range(i + 1, len(nbrs)):
-                a, b = nbrs[i], nbrs[j]
-                if b in topology.adjacency[a]:
-                    continue  # distance 1, already reported
-                key = (min(a, b), max(a, b))
-                if key not in seen:
-                    seen.add(key)
-                    yield key + (2,)
-
-
 def d2_conflicts(topology: Topology, colors: dict[int, int]) -> list[tuple[int, int, int]]:
-    """Pairs at distance <= 2 that share a color (brute force, protocol-free)."""
-    out = []
-    for a, b, dist in two_hop_pairs(topology):
-        ca, cb = colors.get(a), colors.get(b)
-        if ca is not None and ca == cb:
-            out.append((a, b, dist))
-    return out
+    """Pairs (a, b, distance) at distance <= 2 that share a color (protocol-free)."""
+    return repeats_within_two_hops(topology, [colors.get(i) for i in range(topology.n + 1)])
 
 
 def check_coloring(

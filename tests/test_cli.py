@@ -310,6 +310,8 @@ class TestVerifyRejectsMismatchedTraces:
 
     @pytest.mark.parametrize("old,new,message", [
         ('"root":2,', '"root":99,', "root 99 is not in 1..3"),
+        ('"root":2,', '', "root None is not in 1..3"),
+        (',"start_round":0', '', "start_round None is not an integer"),
         ('"color":0', '"color":"x"', "color 'x' is not an integer"),
         ('"protocol":"par_tree"', '"protocol":"bogus"', "protocol 'bogus' is unknown"),
     ])

@@ -20,8 +20,8 @@ from d2color.traceio import trace_to_text
 class Beacon(Process):
     """Test process that broadcasts in a fixed set of rounds."""
 
-    def __init__(self, index, ident, neighbor_ids, rounds=()):
-        super().__init__(index, ident, neighbor_ids)
+    def __init__(self, ident, neighbor_ids, rounds=()):
+        super().__init__(ident, neighbor_ids)
         self.rounds = set(rounds)
         self.received = []
 
@@ -41,8 +41,7 @@ class Beacon(Process):
 
 def beacon_sim(topology, schedule, policy="fail_fast"):
     procs = {
-        i: Beacon(i, topology.identity(i), topology.neighbor_identities(i),
-                  schedule.get(i, ()))
+        i: Beacon(topology.identity(i), topology.neighbor_identities(i), schedule.get(i, ()))
         for i in range(1, topology.n + 1)
     }
     return Simulation(topology, procs, policy=policy, done_fn=lambda s: False)
@@ -72,13 +71,13 @@ class TestClock:
 class TestConstruction:
     def test_requires_one_process_per_index(self):
         topo = line4()
-        procs = {i: Beacon(i, i, ()) for i in (1, 2, 3)}
+        procs = {i: Beacon(i, ()) for i in (1, 2, 3)}
         with pytest.raises(EngineError):
             Simulation(topo, procs)
 
     def test_rejects_unknown_delay(self):
         topo = line4()
-        procs = {i: Beacon(i, i, ()) for i in range(1, 5)}
+        procs = {i: Beacon(i, ()) for i in range(1, 5)}
         with pytest.raises(EngineError):
             Simulation(topo, procs, delivery_delay=2)
 
@@ -170,8 +169,7 @@ class TestDeliveryDelay:
     def test_next_slot_delivery(self):
         topo = line4()
         procs = {
-            i: Beacon(i, topo.identity(i), topo.neighbor_identities(i),
-                      [0] if i == 2 else [])
+            i: Beacon(topo.identity(i), topo.neighbor_identities(i), [0] if i == 2 else [])
             for i in range(1, 5)
         }
         sim = Simulation(topo, procs, done_fn=lambda s: False, delivery_delay=1)
@@ -200,7 +198,7 @@ class TestRunLoop:
         on_clock = SeqProcess.on_clock
 
         def counted(self, clock):
-            calls.append(self.index)
+            calls.append(self.ident)
             return on_clock(self, clock)
 
         monkeypatch.setattr(SeqProcess, "on_clock", counted)

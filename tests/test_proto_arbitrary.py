@@ -64,26 +64,26 @@ class TestKnowledgeRollback:
         assert tuple(s) == (0, 2, 5)
 
     def test_rollback_of_empty_sequence_is_a_violation(self):
-        p = ArbProcess(1, ident=10, neighbor_ids=(20,))
+        p = ArbProcess(ident=10, neighbor_ids=(20,))
         with pytest.raises(ProtocolViolation):
             p.on_message(CorrectedColor(dest1=99, dest2=98, sender=20, color=1))
 
     def test_relay_swaps_last_d1_entry(self):
-        p = ArbProcess(1, ident=10, neighbor_ids=(20, 30))
+        p = ArbProcess(ident=10, neighbor_ids=(20, 30))
         p.on_message(ColorArb(dest=99, sender=20, sender_cl=4, proposed_color=5, d1colors=()))
         assert tuple(p.d1) == (4,)
         p.on_message(CorrectedColor(dest1=77, dest2=78, sender=20, color=6))
         assert tuple(p.d1) == (6,)
 
     def test_wildcard_relay_swaps_last_d2_entry(self):
-        p = ArbProcess(1, ident=10, neighbor_ids=(20, 30))
+        p = ArbProcess(ident=10, neighbor_ids=(20, 30))
         p.on_message(ColorArb(dest=99, sender=20, sender_cl=4, proposed_color=5, d1colors=(1,)))
         assert tuple(p.d2) == (1, 5)
         p.on_message(CorrectedColor(dest1=-1, dest2=-1, sender=20, color=7))
         assert tuple(p.d2) == (1, 7)
 
     def test_wildcard_matching_own_color_resumes(self):
-        p = ArbProcess(1, ident=10, neighbor_ids=(20,))
+        p = ArbProcess(ident=10, neighbor_ids=(20,))
         p.on_message(ColorArb(dest=10, sender=20, sender_cl=0, proposed_color=3, d1colors=(1,)))
         p.on_message(CorrectedColor(dest1=-1, dest2=-1, sender=20, color=3))
         assert p.state == 5
@@ -91,19 +91,19 @@ class TestKnowledgeRollback:
     def test_refusal_on_advertised_self_clash(self):
         # the sender's own color appearing in its advertised set signals a
         # clash on the sender side; the receiver must bounce the proposal
-        p = ArbProcess(1, ident=10, neighbor_ids=(20, 30))
+        p = ArbProcess(ident=10, neighbor_ids=(20, 30))
         p.on_message(ColorArb(dest=10, sender=20, sender_cl=2, proposed_color=1, d1colors=(2,)))
         assert p.state == 1 and p.sender == 20
 
     def test_refusal_on_known_proposal(self):
-        p = ArbProcess(1, ident=10, neighbor_ids=(20, 30))
+        p = ArbProcess(ident=10, neighbor_ids=(20, 30))
         p.on_message(ColorArb(dest=99, sender=30, sender_cl=1, proposed_color=5, d1colors=()))
         assert 1 in p.d1
         p.on_message(ColorArb(dest=10, sender=20, sender_cl=0, proposed_color=1, d1colors=()))
         assert p.state == 1
 
     def test_resume_restarts_traversal(self):
-        p = ArbProcess(1, ident=10, neighbor_ids=(20, 30))
+        p = ArbProcess(ident=10, neighbor_ids=(20, 30))
         p.color = 2
         p.on_message(ResumeColoring(dest=10, sender=20))
         assert p.state == 2  # 30 still uncolored
@@ -112,7 +112,7 @@ class TestKnowledgeRollback:
         assert p.state == 3
 
     def test_overheard_report_marks_the_reporter_colored(self):
-        p = ArbProcess(1, ident=10, neighbor_ids=(20, 30))
+        p = ArbProcess(ident=10, neighbor_ids=(20, 30))
         p.on_message(TermArb(dest=99, color=4, sender=30))
         assert 30 not in p.to_color
 

@@ -77,7 +77,7 @@ class TestStar4:
 class TestSlotFormula:
     def make_proc(self, degree):
         ids = tuple(range(100, 100 + degree))
-        return ParProcess(1, ident=50, neighbor_ids=ids)
+        return ParProcess(ident=50, neighbor_ids=ids)
 
     def test_start_at_clock_0(self):
         p = self.make_proc(3)
@@ -98,7 +98,7 @@ class TestSlotFormula:
 
 class TestHandlers:
     def make_colored(self):
-        p = ParProcess(2, ident=20, neighbor_ids=(10, 30, 40))
+        p = ParProcess(ident=20, neighbor_ids=(10, 30, 40))
         p.on_message(ColorPar(pairs=((20, 2),), sender=10, sender_cl=0, nb_cl_parent=4))
         return p
 
@@ -108,7 +108,7 @@ class TestHandlers:
         assert p.color == 2 and p.parent == 10
 
     def test_uncolored_process_missing_from_pairs(self):
-        p = ParProcess(2, ident=20, neighbor_ids=(10,))
+        p = ParProcess(ident=20, neighbor_ids=(10,))
         with pytest.raises(MissingPairForUncoloredChild):
             p.on_message(ColorPar(pairs=((77, 0),), sender=10, sender_cl=0, nb_cl_parent=2))
 

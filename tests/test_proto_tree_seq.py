@@ -76,7 +76,7 @@ class TestSmallCases:
 
 class TestHandlers:
     def make_proc(self, **kw):
-        return SeqProcess(2, ident=20, neighbor_ids=(10, 30), **kw)
+        return SeqProcess(ident=20, neighbor_ids=(10, 30), **kw)
 
     def test_color_for_other_destination_ignored(self):
         p = self.make_proc()

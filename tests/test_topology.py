@@ -18,6 +18,7 @@ from d2color.topology import (
     generate_random_tree,
     load_topology,
     metrics,
+    repeats_within_two_hops,
     save_topology,
     two_hop,
     validate_identities,
@@ -212,6 +213,39 @@ class TestDistanceAndMetrics:
             mets = metrics(topo, a)
             assert mets.depth == max(d[a, b] for b in procs)
             assert mets.delta == max(topo.degree(b) for b in procs)
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(1, 14), extra=st.none() | st.integers(0, 20),
+           seed=st.integers(0, 10**6), data=st.data())
+    def test_repeats_within_two_hops_match_bfs_oracle(self, n, extra, seed, data):
+        if extra is None:
+            topo = generate_random_tree(n, 3, seed)
+        else:
+            topo = generate_random_connected(n, extra, seed)
+        procs = range(1, n + 1)
+        dist = {a: bfs(topo.adjacency, a) for a in procs}
+
+        def repeats(labels):
+            return [(a, b, dist[a][b]) for a in procs for b in procs
+                    if a < b and dist[a][b] <= 2 and labels[a] is not None
+                    and labels[a] == labels[b]]
+
+        def order(pair):
+            a, b, d = pair
+            centre = a if d == 1 else min(set(topo.neighbors(a)) & set(topo.neighbors(b)))
+            return centre, d, a, b
+
+        labels = [None] + data.draw(st.lists(st.none() | st.integers(0, 3), min_size=n,
+                                             max_size=n), label="labels")
+        assert repeats_within_two_hops(topo, labels) == sorted(repeats(labels), key=order)
+        ids = data.draw(st.lists(st.integers(0, 2 * n), min_size=n, max_size=n),
+                        label="identities")
+        clash = bool(repeats([None] + ids))
+        try:
+            build_topology(topo.edges(), identities=ids, kind=topo.kind, n=n)
+            assert not clash
+        except IdentityClashWithin2Hops:
+            assert clash
 
     def test_identity_invariant_large_instance(self):
         topo = generate_random_tree(2000, 6, seed=11)

@@ -216,6 +216,8 @@ class TestTraceReaderRejects:
 
     @pytest.mark.parametrize("damage,message", [
         (lambda line: line.replace('"root":1,', '"root":99,'), "root 99 is not in 1..3"),
+        (lambda line: line.replace('"root":1,', ''), "root None is not in 1..3"),
+        (lambda line: line.replace(',"start_round":0', ''), "start_round None is not an integer"),
         (lambda line: line.replace('"start_round":0', '"start_round":"0"'),
          "start_round '0' is not an integer"),
         (lambda line: line.replace('"color":2', '"color":"x"'), "color 'x' is not an integer"),

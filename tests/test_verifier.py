@@ -5,14 +5,13 @@ from hypothesis import strategies as st
 
 from conftest import run_par, run_seq, tree_corpus
 from d2color.scenarios import builtin_topology
-from d2color.topology import generate_random_connected, generate_random_tree
+from d2color.topology import generate_random_connected, generate_random_tree, two_hop
 from d2color.verifier import (
     Coloring,
     check_coloring,
     d2_conflicts,
     greedy_reference_coloring,
     tdma_replay,
-    two_hop_pairs,
     verify_run,
 )
 
@@ -51,13 +50,6 @@ class TestCheckColoring:
             topo, {1: 0, 2: 1, 3: -1}, delta=2, enforce_validity=False
         )
         assert not v_ok
-
-    def test_two_hop_pairs_on_star(self):
-        topo = builtin_topology("star4")
-        pairs = {(a, b): d for a, b, d in two_hop_pairs(topo)}
-        assert len(pairs) == 10  # the closed neighborhood is a distance-2 clique
-        assert pairs[(1, 2)] == 1
-        assert pairs[(2, 3)] == 2
 
 
 class TestGreedyReference:
@@ -115,8 +107,8 @@ class TestTdmaReplay:
         assert tdma_replay(topo, colors, max(delta, width)) == 0
         # corrupt one pair within two hops: both oracles must now object
         rng = random.Random(seed)
-        pairs = list(two_hop_pairs(topo))
-        a, b, _ = pairs[rng.randrange(len(pairs))]
+        pairs = [(a, b) for a in range(1, n + 1) for b in sorted(two_hop(topo, a)) if a < b]
+        a, b = pairs[rng.randrange(len(pairs))]
         colors[a] = colors[b]
         assert d2_conflicts(topo, colors)
         assert tdma_replay(topo, colors, max(delta, width)) >= 1
