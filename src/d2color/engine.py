@@ -157,10 +157,10 @@ class Trace:
 
 @contextmanager
 def gc_paused():
-    """Pause the cyclic garbage collector for a pass over many trace records.
+    """Pause the cyclic garbage collector for a run or a pass over many trace records.
 
-    The records, and the states kept from them, live long and hold no cycles;
-    collecting while they pile up would scan them again and again.
+    The processes, the records and the states kept from them live long and
+    hold no cycles; collecting while they pile up would scan them again and again.
     """
     enabled = gc.isenabled()
     gc.disable()
@@ -177,16 +177,30 @@ def final_colors(finals: dict[int, dict]) -> dict[int, int]:
             if state.get("color") is not None}
 
 
+# the one empty container a process holds until it needs a real one; shared, so immutable
+EMPTY: frozenset = frozenset()
+
+
 class Process:
     """Handler contract the engine drives.
 
-    A process knows only its identity and its neighbors' identities; the
-    engine's process indices are its delivery addresses, which no process holds.
+    A process knows only its identity and its neighbors' identities, as the
+    tuple it was built with; the engine's process indices are its delivery
+    addresses, which no process holds.
+
+    A run keeps one process per node alive, so processes are kept small.
+    Process and every protocol process class declare __slots__ and have no
+    __dict__; a subclass that leaves __slots__ out gets one back.  A
+    container field that is empty holds the shared EMPTY instead of an empty
+    object of its own, and only where the code replaces that field and never
+    changes it in place.
     """
+
+    __slots__ = ("ident", "neighbor_ids", "degree", "dirty", "claimed_termination")
 
     def __init__(self, ident: int, neighbor_ids: tuple[int, ...]):
         self.ident = ident
-        self.neighbor_ids = frozenset(neighbor_ids)
+        self.neighbor_ids = neighbor_ids
         self.degree = len(neighbor_ids)
         self.dirty = False
         self.claimed_termination = False
@@ -357,25 +371,26 @@ class Simulation:
     def run(self, max_rounds: int) -> Trace:
         """Step up to max_rounds rounds until the run ends, and record its status in the trace."""
         steps, status = 0, None
-        try:
-            while status is None:
-                if self.done_fn(self):
-                    status = RunStatus.TERMINATED
-                elif steps >= max_rounds:
-                    status = RunStatus.BUDGET_EXHAUSTED
-                else:
-                    self.step_round()
-                    steps += 1
-                    # a partial run ends with one traffic-free round, which its trace counts
-                    if (not self._round_was_active and not self.done_fn(self)
-                            and self._quiescent()):
-                        status = RunStatus.PARTIAL
-        except ClashDetected:
-            status = RunStatus.CLASH
-            raise
-        finally:
-            if status is not None:  # a protocol violation ends a run with no status
-                self.trace.status = status.value
+        with gc_paused():
+            try:
+                while status is None:
+                    if self.done_fn(self):
+                        status = RunStatus.TERMINATED
+                    elif steps >= max_rounds:
+                        status = RunStatus.BUDGET_EXHAUSTED
+                    else:
+                        self.step_round()
+                        steps += 1
+                        # a partial run ends with one traffic-free round, which its trace counts
+                        if (not self._round_was_active and not self.done_fn(self)
+                                and self._quiescent()):
+                            status = RunStatus.PARTIAL
+            except ClashDetected:
+                status = RunStatus.CLASH
+                raise
+            finally:
+                if status is not None:  # a protocol violation ends a run with no status
+                    self.trace.status = status.value
         return self.trace
 
 

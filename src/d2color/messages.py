@@ -138,10 +138,11 @@ def first_free_color(excluded) -> int:
 
 def message_fields(msg: Message) -> list[tuple[str, object]]:
     """Stable (name, value) pairs for serialization."""
-    return [(f.name, getattr(msg, f.name)) for f in fields(msg)]
+    return [(name, getattr(msg, name)) for name in _FIELD_NAMES[type(msg)]]
 
 
 _BY_KIND = {cls.kind: cls for cls in typing.get_args(Message)}
+_FIELD_NAMES = {cls: tuple(f.name for f in fields(cls)) for cls in _BY_KIND.values()}
 
 
 def make_message(kind: str, named: dict) -> Message:

@@ -34,6 +34,9 @@ def replace_last(colors: dict[int, None], color: int) -> None:
 
 
 class ArbProcess(Process):
+    __slots__ = ("state", "d1", "d2", "sender", "parent", "to_color", "color", "corrected_cl",
+                 "_schedule")
+
     def __init__(
         self,
         ident: int,
@@ -46,10 +49,12 @@ class ArbProcess(Process):
         self.d2: dict[int, None] = {}
         self.sender = 0
         self.parent: int | None = None
+        # every ColorArb and TermArb discards from it, so it is always a set of its own
         self.to_color: set[int] = set(neighbor_ids)
         self.color: int | None = None
         self.corrected_cl: int | None = None
-        self._schedule = list((next_schedule or {}).get(ident, ()))
+        pinned = (next_schedule or {}).get(ident)
+        self._schedule: list[int] | tuple[()] = list(pinned) if pinned else ()
 
     def _pick_next(self) -> int:
         if self._schedule:

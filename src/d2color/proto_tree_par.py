@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .engine import FAIL_FAST, Process, ProtocolViolation, Simulation, start_simulation
+from .engine import EMPTY, FAIL_FAST, Process, ProtocolViolation, Simulation, start_simulation
 from .messages import ColorPar, End, New, TermPar, first_free_color
 from .topology import Topology, build_topology
 from .verifier import d2_conflicts
@@ -58,6 +58,10 @@ class ConsistencyBroken(MergeError):
 
 
 class ParProcess(Process):
+    __slots__ = ("state", "nb_cl", "nb_cl_parent", "max_nb_cl", "parent", "sender_cl",
+                 "to_color", "color", "assigned_pairs", "end_phase", "root_always_ends",
+                 "sibling_end_parallel", "pending_new")
+
     def __init__(
         self,
         ident: int,
@@ -73,8 +77,9 @@ class ParProcess(Process):
         self.max_nb_cl = self.nb_cl
         self.parent: int | None = None
         self.sender_cl: int | None = None
-        self.to_color: set[int] = set()
+        self.to_color: set[int] | frozenset[int] = EMPTY  # coloring replaces it
         self.color: int | None = None
+        # execute_join writes into a leaf's, so each process has its own
         self.assigned_pairs: dict[int, int] = {}
         self.end_phase = end_phase
         self.root_always_ends = root_always_ends
@@ -107,6 +112,7 @@ class ParProcess(Process):
             self.to_color.discard(msg.sender)
             self.max_nb_cl = max(self.max_nb_cl, msg.max_nb_cl)
             if not self.to_color:
+                self.to_color = EMPTY
                 if self.parent == self.ident:
                     self.claimed_termination = True
                     if self.end_phase:
@@ -124,7 +130,7 @@ class ParProcess(Process):
     def _accept_color(self, msg: ColorPar) -> None:
         pairs = dict(msg.pairs)
         self.parent = msg.sender
-        self.to_color = set(self.neighbor_ids) - {msg.sender}
+        self.to_color = set(self.neighbor_ids) - {msg.sender} or EMPTY
         self.sender_cl = msg.sender_cl
         self.color = pairs[self.ident]
         self.nb_cl_parent = msg.nb_cl_parent
@@ -193,6 +199,8 @@ class ParProcess(Process):
 
 class JoinerProcess(Process):
     """A process outside the colored tree, waiting for its NEW announcement."""
+
+    __slots__ = ("state", "color", "max_nb_cl", "parent", "joined")
 
     def __init__(self, ident: int, neighbor_ids: tuple[int, ...]):
         super().__init__(ident, neighbor_ids)
@@ -289,7 +297,7 @@ def execute_join(sim: Simulation, parent_index: int) -> JoinOutcome:
     known = {parent.color, parent.sender_cl, *parent.assigned_pairs.values()}
     color = first_free_color(known)
     # identities start at 1
-    new_id = first_free_color({0, parent.ident} | parent.neighbor_ids)
+    new_id = first_free_color({0, parent.ident, *parent.neighbor_ids})
 
     old = sim.topology
     joiner_index = old.n + 1
@@ -300,7 +308,7 @@ def execute_join(sim: Simulation, parent_index: int) -> JoinOutcome:
         n=old.n + 1,
     )
     joiner = JoinerProcess(new_id, (parent.ident,))
-    parent.neighbor_ids = frozenset(parent.neighbor_ids | {new_id})
+    parent.neighbor_ids += (new_id,)
     parent.degree += 1
     parent.pending_new = (color, delta, new_id)
     # a later join under the same parent must see this color as taken

@@ -13,12 +13,15 @@ from __future__ import annotations
 
 import random
 
-from .engine import FAIL_FAST, Process, ProtocolViolation, Simulation, start_simulation
+from .engine import EMPTY, FAIL_FAST, Process, ProtocolViolation, Simulation, start_simulation
 from .messages import ColorSeq, TermSeq, first_free_color
 from .topology import Topology
 
 
 class SeqProcess(Process):
+    __slots__ = ("state", "parent", "sender_cl", "d1colors", "to_color", "color", "max_d",
+                 "next_child_order", "rng")
+
     def __init__(
         self,
         ident: int,
@@ -30,8 +33,9 @@ class SeqProcess(Process):
         self.state = 0
         self.parent: int | None = None
         self.sender_cl: int | None = None
-        self.d1colors: set[int] = set()
-        self.to_color: set[int] = set(neighbor_ids)
+        # coloring replaces both
+        self.d1colors: set[int] | frozenset[int] = EMPTY
+        self.to_color: set[int] | frozenset[int] = EMPTY
         self.color: int | None = None
         self.max_d = self.degree
         self.next_child_order = next_child_order
@@ -57,6 +61,7 @@ class SeqProcess(Process):
             if msg.sender not in self.to_color:
                 raise ProtocolViolation(f"report from unexpected child {msg.sender}")
             self.to_color.discard(msg.sender)
+            self.to_color = self.to_color or EMPTY
             self.d1colors.add(msg.sender_cl)
             self.max_d = max(self.max_d, msg.max_d)
             self.state = 1 if self.to_color else 3
@@ -68,7 +73,7 @@ class SeqProcess(Process):
         # the root's parent color -1 is fictitious, so the root starts knowing no color
         self.d1colors = set() if msg.sender == self.ident else {msg.sender_cl}
         self.color = first_free_color(self.d1colors | set(msg.d1colors))
-        self.to_color = set(self.neighbor_ids) - {self.parent}
+        self.to_color = set(self.neighbor_ids) - {self.parent} or EMPTY
         self.state = 1 if self.to_color else 3
         self.dirty = True
 

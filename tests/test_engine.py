@@ -1,6 +1,9 @@
+import gc
+
 import pytest
 
 from d2color.engine import (
+    EMPTY,
     ClashDetected,
     EngineError,
     Process,
@@ -10,6 +13,9 @@ from d2color.engine import (
     recheck_clashes,
 )
 from d2color.messages import TermSeq
+from d2color.proto_arbitrary import ArbProcess
+from d2color.proto_tree_par import JoinerProcess, ParProcess
+from d2color.proto_tree_par import make_simulation as make_par
 from d2color.proto_tree_seq import SeqProcess
 from d2color.proto_tree_seq import make_simulation as make_seq
 from d2color.scenarios import builtin_topology
@@ -213,6 +219,25 @@ class TestRunLoop:
         assert trace.status == "terminated"
         assert trace.claimed_by == 1
 
+    @pytest.mark.parametrize("schedule", [{2: [0]}, {1: [0], 3: [0]}], ids=["partial", "clash"])
+    def test_collector_paused_during_the_run_only(self, schedule, monkeypatch):
+        seen = []
+        on_clock = Beacon.on_clock
+
+        def watched(self, clock):
+            seen.append(gc.isenabled())
+            return on_clock(self, clock)
+
+        monkeypatch.setattr(Beacon, "on_clock", watched)
+        assert gc.isenabled()
+        sim = beacon_sim(line4(), schedule)
+        try:
+            sim.run(10)
+        except ClashDetected:
+            pass
+        assert seen and not any(seen)
+        assert gc.isenabled()
+
 
 class TestDetectorAgainstBruteForce:
     def test_random_broadcast_sets(self):
@@ -272,3 +297,47 @@ class TestDeterminism:
         for seed in (1, 2, 3):
             shuffled = make_seq(topo, 1, handler_order_seed=seed).run(1000)
             assert trace_to_text(shuffled) == trace_to_text(base)
+
+
+class TestProcessFootprint:
+    @pytest.mark.parametrize("make", [
+        lambda: SeqProcess(20, (10, 30)),
+        lambda: ParProcess(20, (10, 30)),
+        lambda: JoinerProcess(20, (10,)),
+        lambda: ArbProcess(20, (10, 30)),
+    ], ids=["seq", "par", "joiner", "arbitrary"])
+    def test_protocol_processes_have_no_dict(self, make):
+        p = make()
+        assert not hasattr(p, "__dict__")
+        with pytest.raises(AttributeError):
+            p.stray = 1
+
+    def test_a_subclass_without_slots_keeps_a_dict(self):
+        p = Beacon(1, (2,))
+        p.stray = 1
+        assert vars(p)["stray"] == 1
+
+    def test_neighbor_identities_kept_as_given(self):
+        ids = (30, 10)
+        assert SeqProcess(20, ids).neighbor_ids is ids
+
+    def test_uncolored_processes_share_one_immutable_placeholder(self):
+        seqs = [SeqProcess(20, (10, 30)), SeqProcess(21, (11,))]
+        pars = [ParProcess(20, (10, 30)), ParProcess(21, (11,))]
+        held = [p.d1colors for p in seqs] + [p.to_color for p in seqs + pars]
+        assert all(c is EMPTY for c in held)
+        with pytest.raises(AttributeError):
+            seqs[0].to_color.add(99)
+        assert not EMPTY
+
+    @pytest.mark.parametrize("make", [make_seq, make_par], ids=["seq", "par"])
+    def test_emptied_children_sets_give_way_to_the_placeholder(self, make):
+        sim = make(builtin_topology("binary15"), 1)
+        assert sim.run(1000).status == "terminated"
+        assert all(p.to_color is EMPTY for p in sim.processes.values())
+
+    def test_arbitrary_keeps_sets_of_its_own(self):
+        a, b = ArbProcess(20, (10,)), ArbProcess(21, (11,))
+        assert a.to_color is not b.to_color
+        assert a._schedule == ()
+        assert ArbProcess(20, (10, 30), {20: [30]})._schedule == [30]

@@ -81,6 +81,22 @@ class TestJoin:
         assert len(colors) == second.topology.n == 10
         assert d2_conflicts(second.topology, colors) == []
 
+    def test_two_joins_under_one_leaf_extend_its_neighbourhood(self):
+        topo = build_topology([(1, 2), (1, 3), (1, 4), (4, 5), (4, 6), (4, 7), (2, 8)],
+                              kind="tree")
+        sim = completed_sim(topo, 1)
+        leaf = sim.processes[3]
+        first = execute_join(sim, 3)
+        second = execute_join(sim, 3)
+        assert first.color != second.color
+        assert first.joiner_identity != second.joiner_identity
+        assert leaf.neighbor_ids == (topo.identity(1), first.joiner_identity,
+                                     second.joiner_identity)
+        assert leaf.degree == 3 == second.topology.degree(3)
+        # another leaf's assigned colors are its own, untouched by these joins
+        assert sim.processes[5].assigned_pairs == {}
+        validate_identities(second.topology)
+
     def test_seeded_joins_reverify(self):
         rng = random.Random(99)
         done = 0
