@@ -21,9 +21,9 @@ made them.  The sink is called once for every round that ran, in increasing
 round order, as the last step of the round; a fail-fast clash round is handed
 over before ClashDetected is raised, and a round cut short by a protocol
 violation is never handed over.  The default sink, Trace.add_round, keeps
-every record in the simulation's Trace.  A caller that sets sim.sink to a
-function of its own (one that writes each round to a file, say) keeps none,
-and the Trace that run returns then holds only the meta and the end fields.
+each round that holds a record, frozen into tuples, in the simulation's Trace;
+a function of the caller's own set as sim.sink (one that writes each round to
+a file, say) keeps none, and the Trace then holds only the meta and end fields.
 last_snapshots holds the latest recorded state of every process either way.
 
 The end fields are the engine's alone: each finished round sets the trace's
@@ -35,8 +35,8 @@ from __future__ import annotations
 
 import gc
 import random
-from collections import Counter, defaultdict
-from collections.abc import Iterator
+from collections import Counter
+from collections.abc import Iterator, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
@@ -58,7 +58,7 @@ class ProtocolViolation(EngineError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ClashEvent:
     round: int
     victim: int
@@ -72,7 +72,7 @@ class ClashDetected(EngineError):
         self.events = events
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BroadcastRecord:
     round: int
     origin: int
@@ -80,14 +80,14 @@ class BroadcastRecord:
     receivers: tuple[int, ...]  # clean deliveries only
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExternalRecord:
     round: int
     target: int
     message: Message
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StateChange:
     round: int
     proc: int
@@ -95,13 +95,17 @@ class StateChange:
 
 
 class Round(NamedTuple):
-    """The records of one round, in the order a trace file lists their tags."""
+    """One round's records, in trace-file tag order: lists as the engine fills them, or tuples."""
 
     round: int
-    externals: list[ExternalRecord]
-    broadcasts: list[BroadcastRecord]
-    clashes: list[ClashEvent]
-    changes: list[StateChange]
+    externals: Sequence[ExternalRecord]
+    broadcasts: Sequence[BroadcastRecord]
+    clashes: Sequence[ClashEvent]
+    changes: Sequence[StateChange]
+
+    def frozen(self) -> Round:
+        """This round with a tuple for each list, as a Trace keeps it."""
+        return Round(self.round, *map(tuple, self[1:]))
 
 
 class RunStatus(str, Enum):
@@ -113,46 +117,40 @@ class RunStatus(str, Enum):
 
 @dataclass
 class Trace:
-    """Append-only audit log of one simulation run."""
+    """Append-only audit log of one simulation run; kept holds its rounds that have a record."""
 
     meta: dict = field(default_factory=dict)
-    externals: list[ExternalRecord] = field(default_factory=list)
-    broadcasts: list[BroadcastRecord] = field(default_factory=list)
-    clashes: list[ClashEvent] = field(default_factory=list)
-    changes: list[StateChange] = field(default_factory=list)
+    kept: list[Round] = field(default_factory=list)
     status: str = ""
     rounds: int = 0
     claimed_by: int | None = None
 
+    # read-only views: each read lists the kept rounds' records anew
+    externals = property(lambda self: [rec for rnd in self.kept for rec in rnd.externals])
+    broadcasts = property(lambda self: [rec for rnd in self.kept for rec in rnd.broadcasts])
+    clashes = property(lambda self: [rec for rnd in self.kept for rec in rnd.clashes])
+    changes = property(lambda self: [rec for rnd in self.kept for rec in rnd.changes])
+
     def add_round(self, rnd: Round) -> None:
-        self.externals.extend(rnd.externals)
-        self.broadcasts.extend(rnd.broadcasts)
-        self.clashes.extend(rnd.clashes)
-        self.changes.extend(rnd.changes)
+        """Keep rnd, the round after the last one kept, if it holds a record."""
+        if rnd.externals or rnd.broadcasts or rnd.clashes or rnd.changes:
+            self.kept.append(rnd.frozen())
 
     def by_round(self) -> Iterator[Round]:
-        """The records grouped by round, in increasing round order, each in its list order."""
-        rounds = defaultdict(lambda: ([], [], [], []))
-        for tag, recs in enumerate((self.externals, self.broadcasts, self.clashes, self.changes)):
-            for rec in recs:
-                rounds[rec.round][tag].append(rec)
-        for t in sorted(rounds):
-            yield Round(t, *rounds.pop(t))
+        """The kept rounds, in increasing round order."""
+        return iter(self.kept)
 
     def broadcast_counts(self) -> dict[str, int]:
-        return dict(Counter(rec.message.kind for rec in self.broadcasts))
+        return dict(Counter(rec.message.kind for rnd in self.kept for rec in rnd.broadcasts))
 
     def final_states(self) -> dict[int, dict]:
-        out: dict[int, dict] = {}
-        for ch in self.changes:
-            out[ch.proc] = ch.state
-        return out
+        return {ch.proc: ch.state for rnd in self.kept for ch in rnd.changes}
 
     def final_colors(self) -> dict[int, int]:
         return final_colors(self.final_states())
 
     def max_broadcasts_per_round(self) -> int:
-        return max(Counter(rec.round for rec in self.broadcasts).values(), default=0)
+        return max((len(rnd.broadcasts) for rnd in self.kept), default=0)
 
 
 @contextmanager

@@ -13,12 +13,12 @@ import math
 import typing
 from dataclasses import dataclass, fields
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Start:
     kind = "START"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ColorSeq:
     kind = "COLOR_SEQ"
     dest: int
@@ -27,7 +27,7 @@ class ColorSeq:
     d1colors: tuple[int, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TermSeq:
     kind = "TERM_SEQ"
     dest: int
@@ -36,7 +36,7 @@ class TermSeq:
     max_d: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ColorPar:
     kind = "COLOR_PAR"
     pairs: tuple[tuple[int, int], ...]  # (identity, color), ascending identity
@@ -45,7 +45,7 @@ class ColorPar:
     nb_cl_parent: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TermPar:
     kind = "TERM_PAR"
     dest: int
@@ -53,14 +53,14 @@ class TermPar:
     max_nb_cl: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class End:
     kind = "END"
     parent: int
     max_cl: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class New:
     kind = "NEW"
     cl: int
@@ -68,7 +68,7 @@ class New:
     new_id: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ColorArb:
     kind = "COLOR_ARB"
     dest: int
@@ -78,7 +78,7 @@ class ColorArb:
     d1colors: tuple[int, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TermArb:
     kind = "TERM_ARB"
     dest: int
@@ -86,7 +86,7 @@ class TermArb:
     sender: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Correct:
     kind = "CORRECT"
     dest: int
@@ -95,7 +95,7 @@ class Correct:
     d1colors: tuple[int, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CorrectedColor:
     kind = "CORRECTED_COLOR"
     dest1: int
@@ -104,7 +104,7 @@ class CorrectedColor:
     color: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ResumeColoring:
     kind = "RESUME_COLORING"
     dest: int
@@ -136,24 +136,21 @@ def first_free_color(excluded) -> int:
     return c
 
 
-def message_fields(msg: Message) -> list[tuple[str, object]]:
-    """Stable (name, value) pairs for serialization."""
-    return [(name, getattr(msg, name)) for name in _FIELD_NAMES[type(msg)]]
-
-
 _BY_KIND = {cls.kind: cls for cls in typing.get_args(Message)}
-_FIELD_NAMES = {cls: tuple(f.name for f in fields(cls)) for cls in _BY_KIND.values()}
+FIELD_NAMES = {cls: tuple(f.name for f in fields(cls)) for cls in _BY_KIND.values()}
 
 
-def make_message(kind: str, named: dict) -> Message:
-    """The message of this kind from its named field values, as message_fields gives them.
+def make_message(kind: str, values: dict | list) -> Message:
+    """The message of this kind from its field values: by name, or listed in FIELD_NAMES' order.
 
     Lists, and lists inside them, become the tuples a message holds.
     """
     cls = _BY_KIND.get(kind)
     if cls is None:
         raise ValueError(f"unknown message kind {kind!r}")
-    return cls(**{name: _tuples(value) for name, value in named.items()})
+    if type(values) is list:
+        return cls(*map(_tuples, values))
+    return cls(**{name: _tuples(value) for name, value in values.items()})
 
 
 def _tuples(value):

@@ -15,19 +15,37 @@ from itertools import chain
 
 from .engine import (BroadcastRecord, ClashEvent, ExternalRecord, Round, StateChange, Trace,
                      gc_paused)
-from .messages import make_message, message_fields
+from .messages import FIELD_NAMES, make_message
 from .verifier import PROMISES
 
 FORMAT = "d2trace/1"
 
-_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 _BATCH = 1024
 
 
+def _make_encoder(c_make_encoder):
+    """The text JSONEncoder(sort_keys=True, separators=(",", ":")).encode gives, from a C
+    encoder that c_make_encoder (json.encoder's) makes once; where that is None, from encode."""
+    encoder = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+    if c_make_encoder is None:
+        return encoder.encode
+    # JSONEncoder.iterencode's arguments, less the cycle check: trace values hold no cycles
+    encode = c_make_encoder(None, encoder.default, json.encoder.encode_basestring_ascii, None,
+                            encoder.key_separator, encoder.item_separator, True, False, True)
+    return lambda value: "".join(encode(value, 0))
+
+
+_encode = _make_encoder(json.encoder.c_make_encoder)
+# per message class: its text `kind=KIND name={} ...`, fields in class order, and their names
+_MSG_FORMAT = {cls: (" ".join([f"kind={cls.kind}", *(f"{name}={{}}" for name in names)]), names)
+               for cls, names in FIELD_NAMES.items()}
+
+
 def _msg_text(msg) -> str:
+    template, names = _MSG_FORMAT[type(msg)]
     # str() of an exact int (not a bool) is its JSON text
-    return " ".join([f"kind={msg.kind}"] + [f"{name}={v if type(v) is int else _encode(v)}"
-                                            for name, v in message_fields(msg)])
+    return template.format(*[v if type(v) is int else _encode(v)
+                             for v in map(msg.__getattribute__, names)])
 
 
 # Renderers in the order a round's events are written; "\n" sorts below any character of a line.
@@ -97,8 +115,16 @@ class TraceFormatError(ValueError):
     pass
 
 
-def _fields(text: str) -> str:
-    """Message fields ` a=1 b=[2]`, no space or "=" in a value, as `{"a":1,"b":[2]}`."""
+# per message kind: the text of its fields when they come in its class's field order
+_IN_ORDER = {cls.kind: re.compile("".join(rf" {name}=([^\s=]+)" for name in names))
+             for cls, names in FIELD_NAMES.items()}
+
+
+def _fields(kind: str, text: str) -> str:
+    """Message fields ` a=1 b=[2]`, no space or "=" in a value, as `[1,[2]]` if they are the
+    kind's fields in order, else as `{"a":1,"b":[2]}`; make_message takes either."""
+    if (in_order := _IN_ORDER.get(kind)) and (match := in_order.fullmatch(text)):
+        return f"[{','.join(match.groups())}]"
     return '{"' + text[1:].replace("=", '":').replace(" ", ',"') + "}" if text else "{}"
 
 
@@ -109,10 +135,11 @@ _MSG = r"kind=(\w+)((?: \w+=[^\s=]+)*)"
 _LINE = {
     "meta": (re.compile(r"meta=(\{.*\})"), lambda meta: f"[{meta}]", lambda meta: meta),
     "X": (re.compile(rf"X round=(\d+) target=(\d+) {_MSG}"),
-          lambda rnd, target, kind, msg: f'[{rnd},{target},"{kind}",{_fields(msg)}]',
+          lambda rnd, target, kind, msg: f'[{rnd},{target},"{kind}",{_fields(kind, msg)}]',
           lambda rnd, target, kind, msg: ExternalRecord(rnd, target, make_message(kind, msg))),
     "B": (re.compile(rf"B round=(\d+) origin=(\d+) receivers={_INTS} {_MSG}"),
-          lambda rnd, origin, recv, kind, msg: f'[{rnd},{origin},[{recv}],"{kind}",{_fields(msg)}]',
+          lambda rnd, origin, recv, kind, msg:
+          f'[{rnd},{origin},[{recv}],"{kind}",{_fields(kind, msg)}]',
           lambda rnd, origin, recv, kind, msg:
           BroadcastRecord(rnd, origin, make_message(kind, msg), tuple(recv))),
     "C": (re.compile(rf"C round=(\d+) victim=(\d+) clash=(\w+) participants={_INTS}"),
@@ -182,15 +209,23 @@ def _batches(lines):
 
 
 def _parse_lines(lines) -> Trace:
-    trace = Trace()
-    put = {"meta": lambda meta: setattr(trace, "meta", meta),
-           "X": trace.externals.append, "B": trace.broadcasts.append,
-           "C": trace.clashes.append, "S": trace.changes.append,
-           "end": lambda end: vars(trace).update(zip(("status", "rounds", "claimed_by"), end))}
+    """The lines' trace: rounds may come in any order; only the round being read holds lists."""
+    trace, rounds, rnd = Trace(), {}, Round(-1, (), (), (), ())  # no round read yet
     with gc_paused():
         for batch in _batches(lines):
             for _, tag, value in batch:
-                put[tag](value)
+                if tag == "meta":
+                    trace.meta = value
+                elif tag == "end":
+                    trace.status, trace.rounds, trace.claimed_by = value
+                else:
+                    if value.round != rnd.round:
+                        rounds[rnd.round] = rnd.frozen()
+                        rnd = (Round(value.round, [], [], [], []) if value.round not in rounds
+                               else Round(value.round, *map(list, rounds[value.round][1:])))
+                    rnd[_SLOT[tag]].append(value)
+        rounds[rnd.round] = rnd.frozen()
+        trace.kept = [rounds[t] for t in sorted(rounds) if t >= 0]
     return trace
 
 

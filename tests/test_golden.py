@@ -18,6 +18,7 @@ import random
 import pytest
 
 from d2color import cli, proto_arbitrary, proto_tree_par, proto_tree_seq
+from d2color.engine import Round
 from d2color.scenarios import TABLE1_NEXT_SCHEDULE, builtin_topology
 from d2color.topology import (
     assign_identities,
@@ -98,6 +99,21 @@ def test_library_scenario_digest(name):
     trace = module.make_simulation(topology, root, **kwargs).run(_budget(topology, root))
     text = trace_to_text(trace) + verify_run(topology, trace).to_text()
     assert _sha(text) == LIBRARY_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(LIBRARY))
+def test_trace_keeps_the_rounds_a_sink_receives(name):
+    make_topology, module, root, kwargs = LIBRARY[name]
+    topology = make_topology()
+    kept = module.make_simulation(topology, root, **kwargs)
+    kept.run(_budget(topology, root))
+    recorded = module.make_simulation(topology, root, **kwargs)
+    received = []
+    recorded.sink = received.append
+    recorded.run(_budget(topology, root))
+    assert received and [rnd.round for rnd in received] == list(range(len(received)))
+    assert list(kept.trace.by_round()) == [Round(rnd.round, *map(tuple, rnd[1:]))
+                                           for rnd in received if any(rnd[1:])]
 
 
 # name -> (topology factory or builtin name, `d2color run` arguments)

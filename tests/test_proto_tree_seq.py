@@ -5,7 +5,7 @@ import pytest
 
 from conftest import run_seq, tree_corpus
 from d2color.cli import auto_budget
-from d2color.engine import ProtocolViolation
+from d2color.engine import ProtocolViolation, Round
 from d2color.messages import ColorSeq, TermSeq
 from d2color.proto_tree_seq import SeqProcess, make_simulation
 from d2color.scenarios import builtin_topology
@@ -169,21 +169,27 @@ class TestKnowledgeBoundCheck:
         topo, trace = self.run(name)
         assert seq_knowledge_violations(trace, topo, topo.delta) == []
 
+    @staticmethod
+    def forge(trace, old, new):
+        """A copy of trace whose round holding the record old holds new in its place."""
+        k = next(k for k, rnd in enumerate(trace.kept) if rnd.round == old.round)
+        rnd = trace.kept[k]
+        forged = Round(rnd.round, *(tuple(new if rec is old else rec for rec in recs)
+                                    for recs in rnd[1:]))
+        return replace(trace, kept=trace.kept[:k] + [forged] + trace.kept[k + 1:])
+
     def test_broadcast_carrying_delta_colors_reported(self):
         topo, trace = self.run("star4")
         rec = trace.broadcasts[6]  # root's last COLOR_SEQ, to process 5
         assert (rec.round, rec.message.kind) == (7, "COLOR_SEQ")
         bad = replace(rec, message=replace(rec.message, d1colors=(1, 2, 3, 4)))
-        broadcasts = trace.broadcasts[:6] + [bad] + trace.broadcasts[7:]
-        forged = replace(trace, broadcasts=broadcasts)
+        forged = self.forge(trace, rec, bad)
         assert seq_knowledge_violations(forged, topo, 4) == [(7, 1, 4)]
 
     def forge_snapshot(self, trace, round_, proc, d1colors):
-        idx, ch = next(
-            (k, c) for k, c in enumerate(trace.changes) if (c.round, c.proc) == (round_, proc)
-        )
+        ch = next(c for c in trace.changes if (c.round, c.proc) == (round_, proc))
         bad = replace(ch, state={**ch.state, "d1colors": d1colors})
-        return ch.state, replace(trace, changes=trace.changes[:idx] + [bad] + trace.changes[idx + 1:])
+        return ch.state, self.forge(trace, ch, bad)
 
     def test_snapshot_with_delta_colors_while_coloring_reported(self):
         topo, trace = self.run("star4")

@@ -1,4 +1,6 @@
 import io
+import json
+import random
 import re
 
 import pytest
@@ -8,6 +10,9 @@ from hypothesis import strategies as st
 from conftest import run_par, run_seq
 from d2color import proto_tree_par, proto_tree_seq, traceio
 from d2color.cli import auto_budget
+from d2color.engine import Round
+from d2color.messages import (FIELD_NAMES, ColorArb, ColorPar, ColorSeq, Correct, CorrectedColor,
+                              End, New, ResumeColoring, Start, TermArb, TermPar, TermSeq)
 from d2color.scenarios import TABLE1_NEXT_SCHEDULE, builtin_topology
 from d2color.proto_arbitrary import make_simulation as make_arb
 from d2color.topology import generate_random_tree
@@ -171,7 +176,9 @@ class TestStreaming:
             trace = sim.run(budget)
             text = trace_to_text(trace)
             reader = TraceReader(text.splitlines(), topo.n)
-            assert list(reader.by_round()) == list(parse_trace(text).by_round())
+            # the reader fills a list per tag; a Trace keeps tuples
+            read = [Round(rnd.round, *map(tuple, rnd[1:])) for rnd in reader.by_round()]
+            assert read == list(parse_trace(text).by_round())
             assert (reader.meta, reader.status, reader.rounds, reader.claimed_by) == \
                 (trace.meta, trace.status, trace.rounds, trace.claimed_by)
 
@@ -236,3 +243,105 @@ class TestTraceReaderRejects:
         lines[k] = damage(lines[k])
         with pytest.raises(TraceFormatError, match=rf"^line {k + 1}: {re.escape(message)}$"):
             _read_all(lines, topo.n)
+
+
+# JSON-able values as the simulator's states hold them: nested dicts with unsorted, non-ASCII
+# keys, tuples and lists, and ints beyond 64 bits either way
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2**70, 2**70) | st.text(),
+    lambda inner: (st.lists(inner, max_size=4) | st.tuples(inner, inner)
+                   | st.dictionaries(st.text(), inner, max_size=4)),
+    max_leaves=12,
+)
+REFERENCE_ENCODE = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+MESSAGES = [
+    Start(),
+    ColorSeq(dest=20, sender=10, sender_cl=-1, d1colors=()),
+    ColorSeq(dest=20, sender=10, sender_cl=0, d1colors=(2, 1)),
+    TermSeq(dest=10, sender=20, sender_cl=1, max_d=3),
+    ColorPar(pairs=((20, 1), (30, 2)), sender=10, sender_cl=-1, nb_cl_parent=3),
+    ColorPar(pairs=(), sender=10, sender_cl=0, nb_cl_parent=1),
+    TermPar(dest=10, sender=20, max_nb_cl=3),
+    End(parent=10, max_cl=4),
+    New(cl=2, delta=3, new_id=99),
+    ColorArb(dest=20, sender=10, sender_cl=-1, proposed_color=1, d1colors=(-1,)),
+    TermArb(dest=10, color=2, sender=20),
+    Correct(dest=20, sender=10, color=3, d1colors=(0, 1)),
+    CorrectedColor(dest1=20, dest2=30, sender=10, color=1),
+    ResumeColoring(dest=20, sender=10),
+]
+
+
+def _message_lines(fields_text):
+    """A trace whose X and B lines (lines 3 and 4) carry the message text fields_text."""
+    return (f"format=d2trace/1\nmeta={{}}\nX round=0 target=1 {fields_text}\n"
+            f"B round=0 origin=1 receivers=2 {fields_text}\nend status= rounds=1 claimed_by=None\n")
+
+
+class TestCodec:
+    @settings(max_examples=300, deadline=None)
+    @given(JSON_VALUES)
+    def test_encoder_gives_json_encoder_bytes(self, value):
+        assert traceio._encode(value) == REFERENCE_ENCODE(value)
+        # where json.encoder has no C encoder, the encoder is JSONEncoder's own
+        assert traceio._make_encoder(None)(value) == REFERENCE_ENCODE(value)
+
+    def test_every_message_class_is_covered(self):
+        assert {type(msg) for msg in MESSAGES} == set(FIELD_NAMES)
+
+    @pytest.mark.parametrize("msg", MESSAGES, ids=repr)
+    def test_message_round_trip(self, msg):
+        text = traceio._msg_text(msg)
+        kind, _, fields = text.partition(" ")
+        assert traceio._fields(msg.kind, f" {fields}" if fields else "").startswith("[")
+        trace = parse_trace(_message_lines(text))
+        assert [rec.message for rec in (*trace.externals, *trace.broadcasts)] == [msg, msg]
+        assert trace_to_text(trace) == _message_lines(text)
+
+    @pytest.mark.parametrize("msg", [m for m in MESSAGES if len(FIELD_NAMES[type(m)]) > 1],
+                             ids=repr)
+    def test_fields_in_another_order_parse_by_name(self, msg):
+        kind, *fields = traceio._msg_text(msg).split(" ")
+        shuffled = " ".join([kind, *reversed(fields)])
+        assert traceio._fields(msg.kind, " " + " ".join(reversed(fields))).startswith("{")
+        trace = parse_trace(_message_lines(shuffled))
+        assert [rec.message for rec in (*trace.externals, *trace.broadcasts)] == [msg, msg]
+
+    @pytest.mark.parametrize("damage", [
+        lambda fields: fields[:-1],  # the last field missing
+        lambda fields: fields + ["extra=1"],
+        lambda fields: fields[:1] + ["extra=1"] + fields[1:],
+    ])
+    @pytest.mark.parametrize("msg", [m for m in MESSAGES if FIELD_NAMES[type(m)]], ids=repr)
+    def test_a_missing_or_extra_field_names_its_line(self, msg, damage):
+        kind, *fields = traceio._msg_text(msg).split(" ")
+        damaged = " ".join([kind, *damage(fields)])
+        with pytest.raises(TraceFormatError, match=r"^line 3: "):
+            parse_trace(_message_lines(damaged))
+        lines = _message_lines(damaged).splitlines()
+        del lines[2]  # the X line, so the B line is the first damaged one
+        with pytest.raises(TraceFormatError, match=r"^line 3: "):
+            parse_trace("\n".join(lines))
+
+
+class TestRoundOrder:
+    def test_whole_rounds_out_of_order_parse_to_the_canonical_trace(self):
+        head, events, end = CLASHING[:2], CLASHING[2:-1], CLASHING[-1]
+        rounds = {}
+        for line in events:
+            rounds.setdefault(int(line.split(" ")[1].removeprefix("round=")), []).append(line)
+        assert len(rounds) > 2
+        order = sorted(rounds)
+        random.Random(1).shuffle(order)
+        assert order != sorted(order)
+        moved = [*head, *(line for t in order for line in rounds[t]), end]
+        trace = parse_trace("\n".join(moved) + "\n")
+        assert [rnd.round for rnd in trace.by_round()] == sorted(rounds)
+        assert trace_to_text(trace) == "\n".join(CLASHING) + "\n"
+
+    def test_a_round_split_by_others_parses_to_the_canonical_trace(self):
+        lines = list(CLASHING)
+        assert CLASHING[2].split(" ")[1] == CLASHING[3].split(" ")[1] == "round=0"
+        lines.insert(-1, lines.pop(2))  # round 0's first event last
+        assert trace_to_text(parse_trace("\n".join(lines))) == "\n".join(CLASHING) + "\n"
