@@ -125,11 +125,11 @@ class Trace:
     rounds: int = 0
     claimed_by: int | None = None
 
-    # read-only views: each read lists the kept rounds' records anew
-    externals = property(lambda self: [rec for rnd in self.kept for rec in rnd.externals])
-    broadcasts = property(lambda self: [rec for rnd in self.kept for rec in rnd.broadcasts])
-    clashes = property(lambda self: [rec for rnd in self.kept for rec in rnd.clashes])
-    changes = property(lambda self: [rec for rnd in self.kept for rec in rnd.changes])
+    # read-only views: each read gathers the kept rounds' records into a new tuple
+    externals = property(lambda self: tuple(rec for rnd in self.kept for rec in rnd.externals))
+    broadcasts = property(lambda self: tuple(rec for rnd in self.kept for rec in rnd.broadcasts))
+    clashes = property(lambda self: tuple(rec for rnd in self.kept for rec in rnd.clashes))
+    changes = property(lambda self: tuple(rec for rnd in self.kept for rec in rnd.changes))
 
     def add_round(self, rnd: Round) -> None:
         """Keep rnd, the round after the last one kept, if it holds a record."""

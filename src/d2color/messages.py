@@ -140,17 +140,15 @@ _BY_KIND = {cls.kind: cls for cls in typing.get_args(Message)}
 FIELD_NAMES = {cls: tuple(f.name for f in fields(cls)) for cls in _BY_KIND.values()}
 
 
-def make_message(kind: str, values: dict | list) -> Message:
-    """The message of this kind from its field values: by name, or listed in FIELD_NAMES' order.
+def make_message(kind: str, named: dict) -> Message:
+    """The message of this kind from its field values, by field name.
 
     Lists, and lists inside them, become the tuples a message holds.
     """
     cls = _BY_KIND.get(kind)
     if cls is None:
         raise ValueError(f"unknown message kind {kind!r}")
-    if type(values) is list:
-        return cls(*map(_tuples, values))
-    return cls(**{name: _tuples(value) for name, value in values.items()})
+    return cls(**{name: _tuples(value) for name, value in named.items()})
 
 
 def _tuples(value):

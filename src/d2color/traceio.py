@@ -115,31 +115,26 @@ class TraceFormatError(ValueError):
     pass
 
 
-# per message kind: the text of its fields when they come in its class's field order
-_IN_ORDER = {cls.kind: re.compile("".join(rf" {name}=([^\s=]+)" for name in names))
-             for cls, names in FIELD_NAMES.items()}
+def _fields(text: str) -> str:
+    """Message fields ` a=1 b=[2]`, no space, "=" or ":" in a value, as `{"a":1,"b":[2]}`.
 
-
-def _fields(kind: str, text: str) -> str:
-    """Message fields ` a=1 b=[2]`, no space or "=" in a value, as `[1,[2]]` if they are the
-    kind's fields in order, else as `{"a":1,"b":[2]}`; make_message takes either."""
-    if (in_order := _IN_ORDER.get(kind)) and (match := in_order.fullmatch(text)):
-        return f"[{','.join(match.groups())}]"
+    With no ":" in a value, a value cannot hold a key of its own, so the text
+    decodes only if each field's value is one JSON value.
+    """
     return '{"' + text[1:].replace("=", '":').replace(" ", ',"') + "}" if text else "{}"
 
 
 _INTS = r"(\d+(?:,\d+)*|)"
-_MSG = r"kind=(\w+)((?: \w+=[^\s=]+)*)"
+_MSG = r"kind=(\w+)((?: \w+=[^\s=:]+)*)"
 # Per tag: its lines' pattern, the JSON text of a line's fields, and what a line's value is made
 # from its fields, decoded.  A state or meta that decodes as one value from {...} is a JSON object.
 _LINE = {
     "meta": (re.compile(r"meta=(\{.*\})"), lambda meta: f"[{meta}]", lambda meta: meta),
     "X": (re.compile(rf"X round=(\d+) target=(\d+) {_MSG}"),
-          lambda rnd, target, kind, msg: f'[{rnd},{target},"{kind}",{_fields(kind, msg)}]',
+          lambda rnd, target, kind, msg: f'[{rnd},{target},"{kind}",{_fields(msg)}]',
           lambda rnd, target, kind, msg: ExternalRecord(rnd, target, make_message(kind, msg))),
     "B": (re.compile(rf"B round=(\d+) origin=(\d+) receivers={_INTS} {_MSG}"),
-          lambda rnd, origin, recv, kind, msg:
-          f'[{rnd},{origin},[{recv}],"{kind}",{_fields(kind, msg)}]',
+          lambda rnd, origin, recv, kind, msg: f'[{rnd},{origin},[{recv}],"{kind}",{_fields(msg)}]',
           lambda rnd, origin, recv, kind, msg:
           BroadcastRecord(rnd, origin, make_message(kind, msg), tuple(recv))),
     "C": (re.compile(rf"C round=(\d+) victim=(\d+) clash=(\w+) participants={_INTS}"),

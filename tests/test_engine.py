@@ -70,8 +70,8 @@ class TestClock:
         sim = beacon_sim(line4(), {})
         for _ in range(5):
             sim.step_round()
-        assert sim.trace.broadcasts == []
-        assert sim.trace.clashes == []
+        assert sim.trace.broadcasts == ()
+        assert sim.trace.clashes == ()
 
 
 class TestConstruction:

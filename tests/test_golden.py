@@ -114,6 +114,12 @@ def test_trace_keeps_the_rounds_a_sink_receives(name):
     assert received and [rnd.round for rnd in received] == list(range(len(received)))
     assert list(kept.trace.by_round()) == [Round(rnd.round, *map(tuple, rnd[1:]))
                                            for rnd in received if any(rnd[1:])]
+    trace = kept.trace
+    views = (trace.externals, trace.broadcasts, trace.clashes, trace.changes)
+    for slot, view in enumerate(views, 1):
+        assert view == tuple(rec for rnd in received for rec in rnd[slot])
+    with pytest.raises(AttributeError):  # a view is a tuple, so an edit in place raises
+        trace.changes.append(trace.changes[0])
 
 
 # name -> (topology factory or builtin name, `d2color run` arguments)

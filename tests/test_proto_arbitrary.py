@@ -40,7 +40,7 @@ class TestTable1Replay:
     def test_sequential_flow(self):
         trace = run_table1()
         assert trace.max_broadcasts_per_round() <= 1
-        assert trace.clashes == []
+        assert trace.clashes == ()
 
     def test_default_choice_rule_reproduces_the_pinned_run(self):
         # the reference always picks the smallest uncolored identity, so the
@@ -126,7 +126,7 @@ class TestTreesAreClean:
             root = rng.randint(1, n)
             trace = make_simulation(topo, root).run(20000)
             assert trace.status == "terminated"
-            assert trace.clashes == []
+            assert trace.clashes == ()
             assert trace.max_broadcasts_per_round() <= 1
             colors = trace.final_colors()
             assert len(colors) == n
@@ -160,7 +160,7 @@ class TestCyclicGraphDefect:
     def test_run_terminates_without_clash(self):
         _, trace = self.setup_run()
         assert trace.status == "terminated"
-        assert trace.clashes == []
+        assert trace.clashes == ()
         assert trace.max_broadcasts_per_round() <= 1
 
     def test_oracle_catches_the_distance2_violation(self):

@@ -49,7 +49,7 @@ class TestPath3FromMiddle:
         assert self.trace.broadcast_counts() == {"COLOR_PAR": 1, "TERM_PAR": 2, "END": 1}
 
     def test_no_clashes(self):
-        assert self.trace.clashes == []
+        assert self.trace.clashes == ()
 
 
 class TestStar4:
@@ -224,7 +224,7 @@ class TestCorpusProperties:
     def test_zero_clashes_and_edge_color_range(self):
         for topo, root in self.CORPUS[:8]:
             trace = run_par(topo, root)
-            assert trace.clashes == []
+            assert trace.clashes == ()
             assert par_edge_color_violations(topo, trace.final_states()) == []
             delta = metrics(topo, root).delta
             assert end_wave_violations(trace.final_states(), delta) == []
@@ -234,7 +234,7 @@ class TestCorpusProperties:
         # global budget; the transition must not overlap broadcasts
         for topo, root in self.CORPUS[8:16]:
             trace = run_par(topo, root)
-            assert trace.clashes == []
+            assert trace.clashes == ()
 
     def test_determinism(self):
         topo, root = self.CORPUS[0]

@@ -39,7 +39,7 @@ class TestPath3HandTrace:
         assert self.trace.broadcast_counts() == {"COLOR_SEQ": 2, "TERM_SEQ": 2}
 
     def test_no_clashes(self):
-        assert self.trace.clashes == []
+        assert self.trace.clashes == ()
 
     def test_middle_got_color_1_from_parent_payload(self):
         first = self.trace.broadcasts[0].message
@@ -60,7 +60,7 @@ class TestSmallCases:
     def test_singleton_claims_without_broadcasting(self):
         trace = run_seq(builtin_topology("singleton"), 1)
         assert trace.status == "terminated"
-        assert trace.broadcasts == []
+        assert trace.broadcasts == ()
         assert trace.final_colors() == {1: 0}
 
     def test_root_with_children_enters_active_state(self):
@@ -121,7 +121,7 @@ class TestCorpusProperties:
         for topo, root in self.CORPUS[:10]:
             trace = run_seq(topo, root)
             assert trace.max_broadcasts_per_round() <= 1
-            assert trace.clashes == []
+            assert trace.clashes == ()
             delta = metrics(topo, root).delta
             assert trace.final_states()[root]["max_d"] == delta
 

@@ -108,6 +108,16 @@ class TestMalformedInput:
         with pytest.raises(TraceFormatError, match=r"^line 3: unknown trace line tag 'Z'$"):
             parse_trace("format=d2trace/1\nmeta={}\nZ round=0\n")
 
+    @pytest.mark.parametrize("fields", [
+        'dest=1,"sender":2 sender_cl=0 d1colors=[]',  # a value holding a field of its own
+        "dest=[1 sender=2] sender_cl=3,4 d1colors=[]",  # brackets and commas across fields
+        "dest=1 sender=2 sender_cl=3,4 d1colors=[]",  # two values in one field
+    ])
+    def test_a_value_that_is_not_one_json_value_names_its_line(self, fields):
+        line = f"B round=0 origin=1 receivers=2 kind=COLOR_SEQ {fields}"
+        with pytest.raises(TraceFormatError, match=r"^line 3: "):
+            parse_trace(f"format=d2trace/1\nmeta={{}}\n{line}\n")
+
     def test_bytes_that_are_not_utf8_name_their_line(self, tmp_path):
         path = tmp_path / "bad.trace"
         path.write_bytes(b'format=d2trace/1\nmeta={}\nS round=0 proc=1 state={"a":"\xff"}\n')
@@ -164,7 +174,7 @@ class TestStreaming:
             writer = traceio.TraceWriter(out, sim.trace.meta)
             sim.sink = writer.write_round
             trace = sim.run(budget)
-            assert trace.changes == []  # the rounds went to the writer only
+            assert trace.changes == ()  # the rounds went to the writer only
             writer.end(trace)
             streamed.append(out.getvalue())
         in_memory = [trace_to_text(sim.run(budget)) for _, sim, budget in self._scenarios()]
@@ -293,8 +303,6 @@ class TestCodec:
     @pytest.mark.parametrize("msg", MESSAGES, ids=repr)
     def test_message_round_trip(self, msg):
         text = traceio._msg_text(msg)
-        kind, _, fields = text.partition(" ")
-        assert traceio._fields(msg.kind, f" {fields}" if fields else "").startswith("[")
         trace = parse_trace(_message_lines(text))
         assert [rec.message for rec in (*trace.externals, *trace.broadcasts)] == [msg, msg]
         assert trace_to_text(trace) == _message_lines(text)
@@ -304,7 +312,6 @@ class TestCodec:
     def test_fields_in_another_order_parse_by_name(self, msg):
         kind, *fields = traceio._msg_text(msg).split(" ")
         shuffled = " ".join([kind, *reversed(fields)])
-        assert traceio._fields(msg.kind, " " + " ".join(reversed(fields))).startswith("{")
         trace = parse_trace(_message_lines(shuffled))
         assert [rec.message for rec in (*trace.externals, *trace.broadcasts)] == [msg, msg]
 
