@@ -17,7 +17,7 @@ from types import ModuleType
 from typing import NamedTuple
 
 from . import proto_arbitrary, proto_tree_par, proto_tree_seq
-from .engine import FAIL_FAST, POLICIES, ClashDetected, ProtocolViolation, final_colors
+from .engine import FAIL_FAST, POLICIES, ClashDetected, ProtocolViolation
 from .scenarios import BUILTINS, TABLE1_NEXT_SCHEDULE, builtin_topology
 from .topology import (
     TopologyError,
@@ -171,9 +171,11 @@ def cmd_run(args) -> int:
         # each round is counted, and written out if asked for, as it ends; none is kept
         writer = TraceWriter(trace_out.fh, sim.trace.meta) if trace_out else None
         counts = Counter()
+        latest_colors = {}
 
         def sink(rnd):
             counts.update(rec.message.kind for rec in rnd.broadcasts)
+            latest_colors.update((ch.proc, ch.state.get("color")) for ch in rnd.changes)
             if writer:
                 writer.write_round(rnd)
 
@@ -213,7 +215,7 @@ def cmd_run(args) -> int:
         if writer:
             writer.end(trace)
             trace_out.commit()
-    palette = len(set(final_colors(sim.last_snapshots).values()))
+    palette = len(set(latest_colors.values()) - {None})
     print(
         f"status={trace.status} rounds={trace.rounds} claimed_by={trace.claimed_by} "
         f"palette={palette}"

@@ -6,9 +6,9 @@ round the root's on_start runs (the START, the only off-medium event, given to
 the simulation when it is built), clashes are detected over the collected
 broadcast set, surviving messages are delivered to neighbors within the same
 round (or the next one, for simulations built with delivery_delay=1),
-reception handlers run, and changed process states are snapshotted.  State
-changed during round t can therefore trigger a broadcast no earlier than round
-t+1.
+reception handlers run, and the states that handlers changed (marked dirty,
+see Process) are snapshotted.  State changed during round t can therefore
+trigger a broadcast no earlier than round t+1.
 
 The clock ticks only at processes whose may_act holds.  The engine re-reads
 may_act after each round for the processes that round touched (polled,
@@ -24,7 +24,6 @@ violation is never handed over.  The default sink, Trace.add_round, keeps
 each round that holds a record, frozen into tuples, in the simulation's Trace;
 a function of the caller's own set as sim.sink (one that writes each round to
 a file, say) keeps none, and the Trace then holds only the meta and end fields.
-last_snapshots holds the latest recorded state of every process either way.
 
 The end fields are the engine's alone: each finished round sets the trace's
 rounds and, once a process claims termination, its claimed_by; run sets its
@@ -192,6 +191,9 @@ class Process:
     container field that is empty holds the shared EMPTY instead of an empty
     object of its own, and only where the code replaces that field and never
     changes it in place.
+
+    A handler sets dirty only when snapshot() will differ from the one last
+    recorded: the engine records each dirty snapshot, and compares or keeps none.
     """
 
     __slots__ = ("ident", "neighbor_ids", "degree", "dirty", "claimed_termination")
@@ -256,7 +258,6 @@ class Simulation:
         self.clock = -1
         self.trace = Trace(meta=dict(meta or {}))
         self.sink = self.trace.add_round
-        self.last_snapshots: dict[int, dict] = {}
         self._start = start  # (round, root) until the START is handed over
         self._pending_inbox: dict[int, list[Message]] = {}
         self._armed = {i for i, p in processes.items() if p.may_act}
@@ -343,16 +344,12 @@ class Simulation:
         """Snapshot, re-arm and note a claim for each touched process; count the round; sink it."""
         t, changes = rnd.round, rnd.changes
         trace = self.trace
-        last = self.last_snapshots
         armed = self._armed
         procs = self.processes
         for i in sorted(touched):
             p = procs[i]
             if p.dirty:
-                snap = p.snapshot()
-                if snap != last.get(i):
-                    changes.append(StateChange(t, i, snap))
-                    last[i] = snap
+                changes.append(StateChange(t, i, p.snapshot()))
                 p.dirty = False
             if p.may_act:
                 armed.add(i)

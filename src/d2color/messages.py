@@ -9,8 +9,10 @@ Palettes enumerate non-negative integers only, so -1 can never be selected.
 
 from __future__ import annotations
 
+import itertools
 import math
 import typing
+from collections.abc import Iterator
 from dataclasses import dataclass, fields
 
 @dataclass(frozen=True, slots=True)
@@ -127,13 +129,15 @@ Message = (
 )
 
 
+def free_colors(excluded) -> Iterator[int]:
+    """The non-negative integers outside the excluded set, ascending."""
+    taken = set(excluded)
+    return (c for c in itertools.count() if c not in taken)
+
+
 def first_free_color(excluded) -> int:
     """Smallest non-negative integer outside the excluded set."""
-    taken = set(excluded)
-    c = 0
-    while c in taken:
-        c += 1
-    return c
+    return next(free_colors(excluded))
 
 
 _BY_KIND = {cls.kind: cls for cls in typing.get_args(Message)}

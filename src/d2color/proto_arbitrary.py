@@ -25,12 +25,16 @@ from .messages import (ColorArb, Correct, CorrectedColor, ResumeColoring, TermAr
 from .topology import Topology
 
 
-def replace_last(colors: dict[int, None], color: int) -> None:
-    """Retract the color recorded last in an insertion-ordered set, then record color."""
+def replace_last(colors: dict[int, None], color: int) -> bool:
+    """Retract the color recorded last in an insertion-ordered set, then record color.
+
+    Returns whether the set changed, which it did unless color was the one retracted.
+    """
     if not colors:
         raise ProtocolViolation("rollback of an empty color sequence")
-    colors.popitem()
+    retracted, _ = colors.popitem()
     colors.setdefault(color)
+    return retracted != color
 
 
 class ArbProcess(Process):
@@ -82,36 +86,36 @@ class ArbProcess(Process):
             self._on_resume(msg)
 
     def _on_color(self, msg: ColorArb) -> None:
+        # these containers only grow or shrink here, so a change shows in their sizes
+        sizes = len(self.to_color), len(self.d1), len(self.d2)
         # every receiver learns the sender is colored and absorbs its d1 set
         self.to_color.discard(msg.sender)
         self.d2.update(dict.fromkeys(msg.d1colors))
+        if msg.dest != self.ident:
+            self.d2.setdefault(msg.proposed_color)
+            self.d1.setdefault(msg.sender_cl)
+            self.dirty |= sizes != (len(self.to_color), len(self.d1), len(self.d2))
+            return
         self.dirty = True
-        if msg.dest == self.ident and (
-            msg.sender_cl in msg.d1colors
-            or msg.proposed_color in self.d1
-            or msg.proposed_color in self.d2
-        ):
+        if (msg.sender_cl in msg.d1colors or msg.proposed_color in self.d1
+                or msg.proposed_color in self.d2):
             # refusal: the sender advertises a clash of its own color, or the
             # proposal collides with colors already known here
             self.state = 1
             self.sender = msg.sender
-        elif msg.dest == self.ident and self.to_color:
+            return
+        self.parent = msg.sender
+        self.color = msg.proposed_color
+        if self.to_color:
             self.state = 2
-            self.color = msg.proposed_color
-            self.parent = msg.sender
             self.d1.setdefault(msg.sender_cl)
-        elif msg.dest == self.ident and not self.to_color:
+        else:
             self.state = 3
-            self.parent = msg.sender
-            self.color = msg.proposed_color
-        if msg.dest != self.ident:
-            self.d2.setdefault(msg.proposed_color)
-            self.d1.setdefault(msg.sender_cl)
 
     def _on_term(self, msg: TermArb) -> None:
         # overhearing a report still reveals the reporter needs no color
+        self.dirty |= msg.dest == self.ident or msg.sender in self.to_color
         self.to_color.discard(msg.sender)
-        self.dirty = True
         if msg.dest != self.ident:
             return
         if not self.to_color:
@@ -134,12 +138,8 @@ class ArbProcess(Process):
         self.dirty = True
 
     def _on_corrected(self, msg: CorrectedColor) -> None:
-        if msg.dest1 != self.ident and msg.dest1 != -1:
-            replace_last(self.d1, msg.color)
-            self.dirty = True
-        if msg.dest1 != self.ident and msg.dest1 == -1:
-            replace_last(self.d2, msg.color)
-            self.dirty = True
+        if msg.dest1 != self.ident:  # a neighbor's relay, or a relay two hops out (dest1 -1)
+            self.dirty |= replace_last(self.d2 if msg.dest1 == -1 else self.d1, msg.color)
         if msg.dest2 == self.ident:
             self.state = 6
             self.corrected_cl = msg.color

@@ -16,9 +16,10 @@ directly when its last report arrives.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 from .engine import EMPTY, FAIL_FAST, Process, ProtocolViolation, Simulation, start_simulation
-from .messages import ColorPar, End, New, TermPar, first_free_color
+from .messages import ColorPar, End, New, TermPar, first_free_color, free_colors
 from .topology import Topology, build_topology
 from .verifier import d2_conflicts
 
@@ -59,8 +60,8 @@ class ConsistencyBroken(MergeError):
 
 class ParProcess(Process):
     __slots__ = ("state", "nb_cl", "nb_cl_parent", "max_nb_cl", "parent", "sender_cl",
-                 "to_color", "color", "assigned_pairs", "end_phase", "root_always_ends",
-                 "sibling_end_parallel", "pending_new")
+                 "to_color", "color", "end_phase", "root_always_ends", "sibling_end_parallel",
+                 "pending_new")
 
     def __init__(
         self,
@@ -79,8 +80,6 @@ class ParProcess(Process):
         self.sender_cl: int | None = None
         self.to_color: set[int] | frozenset[int] = EMPTY  # coloring replaces it
         self.color: int | None = None
-        # execute_join writes into a leaf's, so each process has its own
-        self.assigned_pairs: dict[int, int] = {}
         self.end_phase = end_phase
         self.root_always_ends = root_always_ends
         self.sibling_end_parallel = sibling_end_parallel
@@ -92,14 +91,8 @@ class ParProcess(Process):
 
     def on_message(self, msg):
         if isinstance(msg, ColorPar):
-            if self.color is not None:
-                return
-            pairs = dict(msg.pairs)
-            if self.ident not in pairs:
-                raise MissingPairForUncoloredChild(
-                    f"uncolored process {self.ident} missing from color assignment"
-                )
-            self._accept_color(msg)
+            if self.color is None:
+                self._accept_color(msg)
         elif isinstance(msg, TermPar):
             if msg.dest != self.ident:
                 return
@@ -128,11 +121,13 @@ class ParProcess(Process):
         # NEW announcements are for a joining process; colored neighbors ignore them
 
     def _accept_color(self, msg: ColorPar) -> None:
-        pairs = dict(msg.pairs)
+        self.color = dict(msg.pairs).get(self.ident)
+        if self.color is None:
+            raise MissingPairForUncoloredChild(
+                f"uncolored process {self.ident} missing from color assignment")
         self.parent = msg.sender
         self.to_color = set(self.neighbor_ids) - {msg.sender} or EMPTY
         self.sender_cl = msg.sender_cl
-        self.color = pairs[self.ident]
         self.nb_cl_parent = msg.nb_cl_parent
         self.state = 1 if self.to_color else 3
         self.dirty = True
@@ -140,13 +135,7 @@ class ParProcess(Process):
     def on_clock(self, clock):
         if self.state in (1, 3) and clock % self.nb_cl_parent == self.color:
             if self.state == 1:
-                pairs = []
-                taken = {self.color, self.sender_cl}
-                for k in sorted(self.to_color):
-                    cl = first_free_color(taken)
-                    taken.add(cl)
-                    pairs.append((k, cl))
-                self.assigned_pairs = dict(pairs)
+                pairs = zip(sorted(self.to_color), free_colors({self.color, self.sender_cl}))
                 self.state = 2
                 self.dirty = True
                 return ColorPar(tuple(pairs), self.ident, self.color, self.nb_cl)
@@ -169,10 +158,8 @@ class ParProcess(Process):
                 return None
         if self.pending_new is not None and self.state == 6:
             if clock % self.max_nb_cl == self.color:
-                cl, delta, new_id = self.pending_new
-                self.pending_new = None
-                self.dirty = True
-                return New(cl, delta, new_id)
+                new, self.pending_new = self.pending_new, None  # not in the snapshot: not dirty
+                return New(*new)
         return None
 
     def snapshot(self) -> dict:
@@ -292,10 +279,11 @@ def execute_join(sim: Simulation, parent_index: int) -> JoinOutcome:
             f"process {parent_index} already has degree {parent.degree} = max degree"
         )
 
-    # at most degree + 1 <= delta real colors are known, so the color is <= delta;
-    # the root's sender_cl is -1, which first_free_color never picks
-    known = {parent.color, parent.sender_cl, *parent.assigned_pairs.values()}
-    color = first_free_color(known)
+    # the parent gave its children, then its earlier joiners, the colors free of {color,
+    # sender_cl} in turn: one to each neighbor but its own parent.  So the next one is at
+    # most degree + 1 <= delta (the root's sender_cl is -1, which is never free).
+    given = parent.degree - (parent.parent != parent.ident)
+    color = next(islice(free_colors({parent.color, parent.sender_cl}), given, None))
     # identities start at 1
     new_id = first_free_color({0, parent.ident, *parent.neighbor_ids})
 
@@ -311,8 +299,6 @@ def execute_join(sim: Simulation, parent_index: int) -> JoinOutcome:
     parent.neighbor_ids += (new_id,)
     parent.degree += 1
     parent.pending_new = (color, delta, new_id)
-    # a later join under the same parent must see this color as taken
-    parent.assigned_pairs[new_id] = color
     sim.set_topology(extended, {joiner_index: joiner})
 
     for _ in range(JOIN_WAIT):

@@ -116,12 +116,21 @@ class TraceFormatError(ValueError):
 
 
 def _fields(text: str) -> str:
-    """Message fields ` a=1 b=[2]`, no space, "=" or ":" in a value, as `{"a":1,"b":[2]}`.
+    """Message fields ` a=1 b=[2]`, no space, "=" or ":" in a value, as `{"a":1,"b":[2]},2`.
 
     With no ":" in a value, a value cannot hold a key of its own, so the text
-    decodes only if each field's value is one JSON value.
+    decodes only if each field's value is one JSON value.  The count after the
+    object is of "=", one per field, so the object falls short of it when a
+    name is given twice.
     """
-    return '{"' + text[1:].replace("=", '":').replace(" ", ',"') + "}" if text else "{}"
+    obj = '{"' + text[1:].replace("=", '":').replace(" ", ',"') + "}" if text else "{}"
+    return f"{obj},{text.count('=')}"
+
+
+def _message(kind: str, named: dict, count: int):
+    if len(named) != count:  # named was decoded from count fields
+        raise ValueError(f"a field of the {kind} message is named twice")
+    return make_message(kind, named)
 
 
 _INTS = r"(\d+(?:,\d+)*|)"
@@ -132,11 +141,12 @@ _LINE = {
     "meta": (re.compile(r"meta=(\{.*\})"), lambda meta: f"[{meta}]", lambda meta: meta),
     "X": (re.compile(rf"X round=(\d+) target=(\d+) {_MSG}"),
           lambda rnd, target, kind, msg: f'[{rnd},{target},"{kind}",{_fields(msg)}]',
-          lambda rnd, target, kind, msg: ExternalRecord(rnd, target, make_message(kind, msg))),
+          lambda rnd, target, kind, msg, count:
+          ExternalRecord(rnd, target, _message(kind, msg, count))),
     "B": (re.compile(rf"B round=(\d+) origin=(\d+) receivers={_INTS} {_MSG}"),
           lambda rnd, origin, recv, kind, msg: f'[{rnd},{origin},[{recv}],"{kind}",{_fields(msg)}]',
-          lambda rnd, origin, recv, kind, msg:
-          BroadcastRecord(rnd, origin, make_message(kind, msg), tuple(recv))),
+          lambda rnd, origin, recv, kind, msg, count:
+          BroadcastRecord(rnd, origin, _message(kind, msg, count), tuple(recv))),
     "C": (re.compile(rf"C round=(\d+) victim=(\d+) clash=(\w+) participants={_INTS}"),
           lambda rnd, victim, clash, parts: f'[{rnd},{victim},"{clash}",[{parts}]]',
           lambda rnd, victim, clash, parts: ClashEvent(rnd, victim, clash, frozenset(parts))),

@@ -37,3 +37,19 @@ def run_par(topology: Topology, root: int, **kw):
     mets = metrics(topology, root)
     sim = proto_tree_par.make_simulation(topology, root, **kw)
     return sim.run(auto_budget(topology.n, mets.delta))
+
+
+def state_breaches(rounds) -> list[tuple[int, int, str]]:
+    """(round, proc, what) for each state record that is its process's second in its round or
+    equals its process's previous one: the engine records only states that handlers changed."""
+    last, found = {}, []
+    for rnd in rounds:
+        seen = set()
+        for ch in rnd.changes:
+            if ch.proc in seen:
+                found.append((ch.round, ch.proc, "second in its round"))
+            if last.get(ch.proc) == ch.state:
+                found.append((ch.round, ch.proc, "unchanged"))
+            seen.add(ch.proc)
+            last[ch.proc] = ch.state
+    return found

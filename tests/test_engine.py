@@ -1,12 +1,19 @@
+import contextlib
 import gc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import state_breaches
+from d2color import proto_arbitrary, proto_tree_par, proto_tree_seq
+from d2color.cli import auto_budget
 from d2color.engine import (
     EMPTY,
     ClashDetected,
     EngineError,
     Process,
+    ProtocolViolation,
     RECORD_AND_CORRUPT,
     Simulation,
     detect_clashes,
@@ -19,7 +26,7 @@ from d2color.proto_tree_par import make_simulation as make_par
 from d2color.proto_tree_seq import SeqProcess
 from d2color.proto_tree_seq import make_simulation as make_seq
 from d2color.scenarios import builtin_topology
-from d2color.topology import build_topology
+from d2color.topology import build_topology, generate_random_connected, generate_random_tree
 from d2color.traceio import trace_to_text
 
 
@@ -342,3 +349,49 @@ class TestProcessFootprint:
         assert a.to_color is not b.to_color
         assert a._schedule == ()
         assert ArbProcess(20, (10, 30), {20: [30]})._schedule == [30]
+
+
+class TestStateContract:
+    """A handler sets dirty only on a change, so the engine records no unchanged state."""
+
+    @staticmethod
+    def _draw_simulation(data):
+        """A random simulation of any protocol, on a random tree or, for arbitrary, a graph."""
+        protocol = data.draw(st.sampled_from(["seq_tree", "par_tree", "arbitrary"]))
+        n = data.draw(st.integers(1, 30), label="n")
+        seed = data.draw(st.integers(0, 10**6), label="seed")
+        kwargs = {"handler_order_seed": data.draw(st.none() | st.integers(0, 99), label="order")}
+        if protocol == "arbitrary" and data.draw(st.booleans(), label="general graph"):
+            topo = generate_random_connected(n, data.draw(st.integers(0, 2 * n), label="extra"),
+                                             seed)
+            kwargs["policy"] = RECORD_AND_CORRUPT
+        else:
+            topo = generate_random_tree(n, data.draw(st.integers(2, 6), label="cap"), seed)
+        if protocol == "seq_tree" and data.draw(st.booleans(), label="random child"):
+            kwargs.update(next_child_order="random", seed=seed)
+        if protocol == "par_tree":
+            kwargs["root_always_ends"] = data.draw(st.booleans(), label="root_always_ends")
+            if data.draw(st.booleans(), label="sibling_end_parallel"):
+                kwargs.update(sibling_end_parallel=True, policy=RECORD_AND_CORRUPT)
+        module = {"seq_tree": proto_tree_seq, "par_tree": proto_tree_par,
+                  "arbitrary": proto_arbitrary}[protocol]
+        root = data.draw(st.integers(1, topo.n), label="root")
+        return topo, module.make_simulation(topo, root, **kwargs)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_random_runs_record_each_state_once_and_only_on_a_change(self, data):
+        topo, sim = self._draw_simulation(data)
+        received = []
+        sim.sink = received.append
+        with contextlib.suppress(ClashDetected, ProtocolViolation):
+            sim.run(auto_budget(topo.n, topo.delta))
+        joins = data.draw(st.integers(0, 2), label="joins")
+        unsaturated = [i for i, p in sim.processes.items()
+                       if isinstance(p, ParProcess) and p.state == 6 and p.degree < topo.delta]
+        for _ in range(joins if sim.trace.status == "terminated" and unsaturated else 0):
+            parent = data.draw(st.sampled_from(unsaturated), label="join parent")
+            if sim.processes[parent].degree < topo.delta:
+                proto_tree_par.execute_join(sim, parent)
+        assert received
+        assert state_breaches(received) == []

@@ -17,6 +17,7 @@ import random
 
 import pytest
 
+from conftest import state_breaches
 from d2color import cli, proto_arbitrary, proto_tree_par, proto_tree_seq
 from d2color.engine import Round
 from d2color.scenarios import TABLE1_NEXT_SCHEDULE, builtin_topology
@@ -29,7 +30,7 @@ from d2color.topology import (
     metrics,
     save_topology,
 )
-from d2color.traceio import trace_to_text
+from d2color.traceio import read_trace, trace_to_text
 from d2color.verifier import greedy_reference_coloring, verify_run
 
 
@@ -122,6 +123,23 @@ def test_trace_keeps_the_rounds_a_sink_receives(name):
         trace.changes.append(trace.changes[0])
 
 
+@pytest.mark.parametrize("name", sorted(LIBRARY))
+def test_library_scenario_records_only_changed_states(name):
+    make_topology, module, root, kwargs = LIBRARY[name]
+    topology = make_topology()
+    sim = module.make_simulation(topology, root, **kwargs)
+    received, keep = [], sim.sink
+
+    def sink(rnd):
+        received.append(rnd)
+        keep(rnd)
+
+    sim.sink = sink
+    sim.run(_budget(topology, root))
+    assert any(rnd.changes for rnd in received)
+    assert state_breaches(received) == []
+
+
 # name -> (topology factory or builtin name, `d2color run` arguments)
 CLI = {
     "run_seq_random_child": (lambda: generate_random_tree(35, 4, seed=8),
@@ -194,6 +212,19 @@ def test_cli_run_digest(name, tmp_path, capsys):
         text += _cli(capsys, "verify", "--trace", str(trace_path),
                      "--topology", str(final_topo))
     assert _sha(text) == CLI_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(CLI))
+def test_cli_run_records_only_changed_states(name, tmp_path, capsys):
+    source, run_args = CLI[name]
+    topo_path, trace_path = tmp_path / "in.topo", tmp_path / "out.trace"
+    save_topology(builtin_topology(source) if isinstance(source, str) else source(),
+                  str(topo_path))
+    _cli(capsys, "run", "--topology", str(topo_path), *run_args, "--trace-out", str(trace_path))
+    # the trace file holds each round as the run's sink received it
+    rounds = list(read_trace(str(trace_path)).by_round())
+    assert any(rnd.changes for rnd in rounds)
+    assert state_breaches(rounds) == []
 
 
 BENCH_DIGEST = "afd83dafa0fc46f93cabac79c82e58cfd6aff4e5b7d073a493e225cd82fc21b0"

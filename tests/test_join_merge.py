@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import tree_corpus
 from d2color.cli import auto_budget
@@ -16,8 +18,8 @@ from d2color.proto_tree_par import (
     merge_trees,
 )
 from d2color.scenarios import builtin_topology
-from d2color.topology import build_topology, metrics, validate_identities
-from d2color.verifier import d2_conflicts, tdma_replay
+from d2color.topology import build_topology, generate_random_tree, metrics, validate_identities
+from d2color.verifier import d2_conflicts, tdma_replay, verify_run
 
 
 def completed_sim(topology, root, **kw):
@@ -93,9 +95,11 @@ class TestJoin:
         assert leaf.neighbor_ids == (topo.identity(1), first.joiner_identity,
                                      second.joiner_identity)
         assert leaf.degree == 3 == second.topology.degree(3)
-        # another leaf's assigned colors are its own, untouched by these joins
-        assert sim.processes[5].assigned_pairs == {}
         validate_identities(second.topology)
+        # another leaf's colors are its own: a join under it is untouched by these joins
+        third = execute_join(sim, 5)
+        fresh = execute_join(completed_sim(topo, 1), 5)
+        assert third.color == fresh.color
 
     def test_seeded_joins_reverify(self):
         rng = random.Random(99)
@@ -114,6 +118,51 @@ class TestJoin:
             validate_identities(out.topology)
             done += 1
         assert done >= 20
+
+
+class TestJoinColors:
+    """A parent gives a joiner the first color its own knowledge leaves free."""
+
+    @staticmethod
+    def _check_joiner_color(sim, parent, out):
+        # everything read from the trace: the parent's last state and its neighbours' colors
+        state = sim.trace.final_states()[parent]
+        colors = sim.trace.final_colors()
+        others = [j for j in out.topology.neighbors(parent) if j != out.joiner_index]
+        known = {state["color"], state["sender_cl"], *(colors[j] for j in others)}
+        assert out.color == colors[out.joiner_index] == min(set(range(len(known) + 1)) - known)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(6, 40), cap=st.integers(3, 6), seed=st.integers(0, 10**6),
+           data=st.data())
+    def test_joins_under_the_root_an_inner_process_and_twice_under_one_parent(self, n, cap,
+                                                                                 seed, data):
+        topo = generate_random_tree(n, cap, seed)
+        delta = topo.delta
+        # a root of degree >= 2 sends END, so the run ends with the wave done
+        roots = [i for i in range(1, n + 1) if 2 <= topo.degree(i) < delta]
+        assume(roots)
+        root = data.draw(st.sampled_from(roots), label="root")
+        sim = completed_sim(topo, root)
+
+        def room(i):
+            return delta - sim.processes[i].degree
+
+        def join(parent):
+            out = execute_join(sim, parent)
+            self._check_joiner_color(sim, parent, out)
+            return out
+
+        out = join(root)
+        inner = [i for i in range(1, n + 1) if i != root and topo.degree(i) >= 2 and room(i)]
+        if inner:
+            out = join(data.draw(st.sampled_from(inner), label="inner parent"))
+        twice = [i for i in range(1, n + 1) if room(i) >= 2]
+        if twice:
+            parent = data.draw(st.sampled_from(twice), label="parent of two joiners")
+            join(parent)
+            out = join(parent)
+        assert verify_run(out.topology, sim.trace).ok()
 
 
 def colored_path3(ident_base=0):

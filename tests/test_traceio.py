@@ -118,6 +118,18 @@ class TestMalformedInput:
         with pytest.raises(TraceFormatError, match=r"^line 3: "):
             parse_trace(f"format=d2trace/1\nmeta={{}}\n{line}\n")
 
+    def test_a_field_named_twice_names_its_line(self):
+        # the last sender=3 would win silently, and the line would write back without sender=2
+        line = ("B round=0 origin=1 receivers=2 kind=COLOR_SEQ dest=1 sender=2 sender=3 "
+                "sender_cl=0 d1colors=[]")
+        meta = '{"protocol":"seq_tree","root":1,"start_round":0}'
+        text = f"format=d2trace/1\nmeta={meta}\n{line}\n"
+        named = r"^line 3: a field of the COLOR_SEQ message is named twice$"
+        with pytest.raises(TraceFormatError, match=named):
+            parse_trace(text)
+        with pytest.raises(TraceFormatError, match=named):
+            list(TraceReader(text.splitlines(), 2).by_round())
+
     def test_bytes_that_are_not_utf8_name_their_line(self, tmp_path):
         path = tmp_path / "bad.trace"
         path.write_bytes(b'format=d2trace/1\nmeta={}\nS round=0 proc=1 state={"a":"\xff"}\n')

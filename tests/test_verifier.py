@@ -1,11 +1,15 @@
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import run_par, run_seq, tree_corpus
+from d2color.engine import BroadcastRecord, Round
+from d2color.messages import ColorSeq
 from d2color.scenarios import builtin_topology
-from d2color.topology import generate_random_connected, generate_random_tree, two_hop
+from d2color.topology import (build_topology, generate_random_connected, generate_random_tree,
+                              two_hop)
 from d2color.verifier import (
     Coloring,
     check_coloring,
@@ -167,6 +171,25 @@ class TestReports:
         assert by_name["par_completion_round"].ok
         assert "vacuous" in by_name["par_completion_round"].note
         assert report.ok()
+
+    @pytest.mark.parametrize("topo, line", [
+        (builtin_topology("singleton"),
+         "bound name=seq_color_count limit=0 observed=0 pass note=singleton"),
+        (build_topology([(1, 2)], kind="tree"),
+         "bound name=seq_color_count limit=1 observed=1 pass"),
+    ], ids=["one", "two"])
+    def test_seq_color_count_on_the_smallest_trees(self, topo, line):
+        trace = run_seq(topo, 1)
+        text = verify_run(topo, trace).to_text()
+        assert line in text.splitlines() and "overall=pass" in text
+        # one COLOR_SEQ above the limit, forged into a round of its own after the run
+        last = trace.kept[-1].round
+        forged = BroadcastRecord(last + 1, 1, ColorSeq(topo.n, 1, 0, ()), tuple(topo.neighbors(1)))
+        trace.kept.append(Round(last + 1, (), (forged,), (), ()))
+        report = verify_run(topo, trace)
+        check = next(b for b in report.bound_checks if b.name == "seq_color_count")
+        assert (check.observed, check.ok) == (check.limit + 1, False)
+        assert not report.ok()
 
     def test_coloring_dataclass(self):
         c = Coloring.from_colors({1: 0, 2: 1, 3: 0})
