@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import gc
 import random
-from collections import Counter
 from collections.abc import Iterator, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -139,18 +138,6 @@ class Trace:
         """The kept rounds, in increasing round order."""
         return iter(self.kept)
 
-    def broadcast_counts(self) -> dict[str, int]:
-        return dict(Counter(rec.message.kind for rnd in self.kept for rec in rnd.broadcasts))
-
-    def final_states(self) -> dict[int, dict]:
-        return {ch.proc: ch.state for rnd in self.kept for ch in rnd.changes}
-
-    def final_colors(self) -> dict[int, int]:
-        return final_colors(self.final_states())
-
-    def max_broadcasts_per_round(self) -> int:
-        return max((len(rnd.broadcasts) for rnd in self.kept), default=0)
-
 
 @contextmanager
 def gc_paused():
@@ -166,12 +153,6 @@ def gc_paused():
     finally:
         if enabled:
             gc.enable()
-
-
-def final_colors(finals: dict[int, dict]) -> dict[int, int]:
-    """The color of each process whose final state has one."""
-    return {proc: state["color"] for proc, state in finals.items()
-            if state.get("color") is not None}
 
 
 # the one empty container a process holds until it needs a real one; shared, so immutable
@@ -433,13 +414,3 @@ def detect_clashes(topology: Topology, t: int, origins: set[int]) -> list[ClashE
         if v in origins and incoming:
             events.append(ClashEvent(t, v, "conflict", frozenset(incoming | {v})))
     return events
-
-
-def recheck_clashes(topology: Topology, rnd: Round) -> bool:
-    """Independently re-derive one round's clash events from its broadcast records.
-
-    Returns True when the recorded events are exactly the ones implied by the
-    recorded broadcasts (soundness and completeness of the detector).
-    """
-    origins = {rec.origin for rec in rnd.broadcasts}
-    return set(detect_clashes(topology, rnd.round, origins)) == set(rnd.clashes)

@@ -14,7 +14,7 @@ back onto the uniform next-round schedule that the earlier rows establish.
 from __future__ import annotations
 
 from .topology import Topology, build_topology
-from .verifier import completion_round
+from .verifier import fold_rounds
 
 # (edges, kind, n) of each built-in topology, by name, in the order the CLI lists them
 BUILTINS = {
@@ -146,13 +146,12 @@ def table1_mismatches(trace) -> list[str]:
                 problems.append(
                     f"clock {t}: p{origin} {kind}.{name} = {got!r}, expected {want!r}"
                 )
-    finals = trace.final_colors()
-    if finals != TABLE1_FINAL_COLORS:
-        problems.append(f"final colors {finals} != {TABLE1_FINAL_COLORS}")
+    facts = fold_rounds(builtin_topology("table1"), trace)
+    if facts.colors != TABLE1_FINAL_COLORS:
+        problems.append(f"final colors {facts.colors} != {TABLE1_FINAL_COLORS}")
     if trace.claimed_by != TABLE1_ROOT:
         problems.append(f"claimed_by {trace.claimed_by} != {TABLE1_ROOT}")
-    claim_round = completion_round(trace)
     want_end = expected_clock(TABLE1_END_CLOCK)
-    if claim_round != want_end:
-        problems.append(f"completion at clock {claim_round}, expected {want_end}")
+    if facts.claim_round != want_end:
+        problems.append(f"completion at clock {facts.claim_round}, expected {want_end}")
     return problems

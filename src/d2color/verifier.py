@@ -2,8 +2,10 @@
 
 Every check here works from the topology, the final colors, and the raw trace
 records alone; it never consults a protocol's internal knowledge sets, so a
-protocol bug cannot hide itself.  verify_run reads a run's records in one pass,
-a round at a time, and keeps only per-process state between rounds.
+protocol bug cannot hide itself.  fold_rounds is the one place that derives a
+run's facts from its records (final states and colors, broadcast counts, the
+claim round); it reads them in one pass, a round at a time, and keeps only
+per-process state between rounds.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .engine import Trace, detect_clashes, final_colors, gc_paused, recheck_clashes
+from .engine import Round, Trace, detect_clashes, gc_paused
 from .messages import color_seq_bits, color_seq_bits_bound, first_free_color
 from .topology import GraphMetrics, Topology, bfs, metrics, repeats_within_two_hops, two_hop
 
@@ -148,11 +150,14 @@ def tdma_replay(topology: Topology, colors: dict[int, int], delta: int) -> int:
     return total
 
 
-def completion_round(trace: Trace) -> int | None:
-    for ch in trace.changes:
-        if ch.state.get("claimed"):
-            return ch.round
-    return None
+def recheck_clashes(topology: Topology, rnd: Round) -> bool:
+    """Independently re-derive one round's clash events from its broadcast records.
+
+    Returns True when the recorded events are exactly the ones implied by the
+    recorded broadcasts (soundness and completeness of the detector).
+    """
+    origins = {rec.origin for rec in rnd.broadcasts}
+    return set(detect_clashes(topology, rnd.round, origins)) == set(rnd.clashes)
 
 
 def seq_knowledge_violations(
@@ -230,10 +235,16 @@ class RunFacts:
     rounds: int
     claimed_by: int | None
 
+    @property
+    def colors(self) -> dict[int, int]:
+        """The color of each process whose final state has one."""
+        return {proc: state["color"] for proc, state in self.finals.items()
+                if state.get("color") is not None}
 
-def fold_rounds(topology: Topology, trace, delta: int) -> RunFacts:
+
+def fold_rounds(topology: Topology, trace) -> RunFacts:
     """The RunFacts of trace, a Trace or a traceio.TraceReader, read one round at a time."""
-    n = topology.n
+    n, delta = topology.n, topology.delta
     end_exempt = trace.meta.get("sibling_end_parallel")
     finals: dict[int, dict] = {}
     counts: dict[str, int] = {}
@@ -354,8 +365,8 @@ def verify_run(topology: Topology, trace) -> VerificationReport:
     protocol = trace.meta.get("protocol", "unknown")
     mets = metrics(topology, int(trace.meta.get("root", 1)))
     delta = mets.delta
-    facts = fold_rounds(topology, trace, delta)
-    colors = final_colors(facts.finals)
+    facts = fold_rounds(topology, trace)
+    colors = facts.colors
     all_colored = len(colors) == topology.n
     promise = PROMISES.get(protocol)
     validity_ok, validity_off, consistency_ok, consistency_off = check_coloring(

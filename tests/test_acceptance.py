@@ -27,9 +27,9 @@ from d2color.topology import build_topology, generate_random_tree, metrics, two_
 from d2color.traceio import trace_to_text
 from d2color.verifier import (
     check_coloring,
-    completion_round,
     d2_conflicts,
     end_wave_violations,
+    fold_rounds,
     par_edge_color_violations,
     seq_knowledge_violations,
     tdma_replay,
@@ -56,8 +56,7 @@ def _corpus_topologies():
     return out
 
 
-def _summarize(topo, root, trace, mets):
-    colors = trace.final_colors()
+def _summarize(topo, root, trace, facts, mets):
     return {
         "topo": topo,
         "root": root,
@@ -67,24 +66,24 @@ def _summarize(topo, root, trace, mets):
         "status": trace.status,
         "claimed_by": trace.claimed_by,
         "clashes": len(trace.clashes),
-        "counts": trace.broadcast_counts(),
-        "colors": colors,
+        "counts": facts.counts,
+        "colors": facts.colors,
     }
 
 
-def _seq_fields(r, trace):
+def _seq_fields(r, trace, facts):
     return {
-        "max_bc_per_round": trace.max_broadcasts_per_round(),
+        "max_bc_per_round": facts.most_broadcasts,
         "knowledge_violations": seq_knowledge_violations(trace, r["topo"], r["delta"]),
     }
 
 
-def _par_fields(r, trace):
+def _par_fields(r, trace, facts):
     return {
         "palette": len(set(r["colors"].values())),
-        "claim_round": completion_round(trace),
-        "edge_violations": par_edge_color_violations(r["topo"], trace.final_states()),
-        "end_violations": end_wave_violations(trace.final_states(), r["delta"]),
+        "claim_round": facts.claim_round,
+        "edge_violations": par_edge_color_violations(r["topo"], facts.finals),
+        "end_violations": end_wave_violations(facts.finals, r["delta"]),
     }
 
 
@@ -94,8 +93,9 @@ def _corpus_runs(module, protocol_fields):
     for topo, root in _corpus_topologies():
         mets = metrics(topo, root)
         trace = module.make_simulation(topo, root).run(auto_budget(topo.n, mets.delta))
-        r = _summarize(topo, root, trace, mets)
-        r.update(protocol_fields(r, trace))
+        facts = fold_rounds(topo, trace)
+        r = _summarize(topo, root, trace, facts, mets)
+        r.update(protocol_fields(r, trace, facts))
         out.append(r)
     return out
 
@@ -183,7 +183,7 @@ def test_criterion_04_round_complexity(par_runs):
             mets = metrics(topo, root)
             sim = proto_tree_par.make_simulation(topo, root)
             trace = sim.run(auto_budget(n, mets.delta))
-            claim = completion_round(trace)
+            claim = fold_rounds(topo, trace).claim_round
             ratios.append((n, claim / (mets.depth * mets.delta)))
     sweep_bad = [(n, f"{q:.2f}") for n, q in ratios if q > 4.0]
     worst = max(q for _, q in ratios)
@@ -218,29 +218,31 @@ def test_criterion_07_sequential_flow(seq_runs):
     bad = [(r["n"], r["max_bc_per_round"]) for r in seq_runs if r["max_bc_per_round"] > 1]
     # arbitrary-graph protocol: the pinned reference scenario plus seeded
     # trees, the regime in which its control flow is actually sequential
+    table1_topo = builtin_topology("table1")
     table1 = proto_arbitrary.make_simulation(
-        builtin_topology("table1"), 1, next_schedule=TABLE1_NEXT_SCHEDULE
+        table1_topo, 1, next_schedule=TABLE1_NEXT_SCHEDULE
     ).run(200)
-    if table1.max_broadcasts_per_round() > 1 or table1.clashes:
-        bad.append(("table1", table1.max_broadcasts_per_round()))
+    most = fold_rounds(table1_topo, table1).most_broadcasts
+    if most > 1 or table1.clashes:
+        bad.append(("table1", most))
     rng = random.Random(CORPUS_SEED)
     for k in range(60):
         n = rng.randint(2, 60)
         topo = generate_random_tree(n, rng.randint(2, 8), seed=CORPUS_SEED + 7000 + k)
         trace = proto_arbitrary.make_simulation(topo, rng.randint(1, n)).run(20000)
-        if trace.max_broadcasts_per_round() > 1 or trace.clashes:
-            bad.append(("arb-tree", n, trace.max_broadcasts_per_round()))
+        most = fold_rounds(topo, trace).most_broadcasts
+        if most > 1 or trace.clashes:
+            bad.append(("arb-tree", n, most))
     report(7, "at most one broadcast per round (seq + arbitrary)", not bad)
     assert not bad, bad[:5]
 
 
 def test_criterion_08_reference_trace_replay():
-    sim = proto_arbitrary.make_simulation(
-        builtin_topology("table1"), 1, next_schedule=TABLE1_NEXT_SCHEDULE
-    )
+    topo = builtin_topology("table1")
+    sim = proto_arbitrary.make_simulation(topo, 1, next_schedule=TABLE1_NEXT_SCHEDULE)
     trace = sim.run(200)
     problems = table1_mismatches(trace)
-    ok = not problems and trace.final_colors() == TABLE1_FINAL_COLORS
+    ok = not problems and fold_rounds(topo, trace).colors == TABLE1_FINAL_COLORS
     report(8, "published execution replay", ok,
            problems[0] if problems else "all cells match")
     assert ok, problems[:5]
@@ -290,7 +292,7 @@ def test_criterion_10_join_and_merge():
             bad.append(("run", n, trace.status))
             break
         out = execute_join(sim, parents[rng.randrange(len(parents))])
-        colors = sim.trace.final_colors()
+        colors = fold_rounds(sim.topology, sim.trace).colors
         if (
             len(colors) != out.topology.n
             or d2_conflicts(out.topology, colors)
@@ -310,8 +312,9 @@ def test_criterion_10_join_and_merge():
         t2 = build_topology(t1.edges(), identities=ids2, kind="tree", n=n)
         root = nonleaf_root(t1, rng)
         delta = t1.delta
-        c1 = proto_tree_par.make_simulation(t1, root).run(auto_budget(n, delta)).final_colors()
-        c2 = proto_tree_par.make_simulation(t2, root).run(auto_budget(n, delta)).final_colors()
+        budget = auto_budget(n, delta)
+        c1 = fold_rounds(t1, proto_tree_par.make_simulation(t1, root).run(budget)).colors
+        c2 = fold_rounds(t2, proto_tree_par.make_simulation(t2, root).run(budget)).colors
         # both runs color mirror-identical trees: any shared endpoint index of
         # degree < delta clashes by construction
         x = next((i for i in range(1, n + 1) if t1.degree(i) < delta), None)

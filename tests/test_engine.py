@@ -17,7 +17,6 @@ from d2color.engine import (
     RECORD_AND_CORRUPT,
     Simulation,
     detect_clashes,
-    recheck_clashes,
 )
 from d2color.messages import TermSeq
 from d2color.proto_arbitrary import ArbProcess
@@ -28,6 +27,7 @@ from d2color.proto_tree_seq import make_simulation as make_seq
 from d2color.scenarios import builtin_topology
 from d2color.topology import build_topology, generate_random_connected, generate_random_tree
 from d2color.traceio import trace_to_text
+from d2color.verifier import recheck_clashes
 
 
 class Beacon(Process):

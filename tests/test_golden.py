@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+import re
 
 import pytest
 
@@ -192,6 +193,11 @@ def _cli(capsys, *args):
     return f"exit={code}\n{captured.out}{captured.err}"
 
 
+def _value(text: str, key: str) -> str:
+    """The value of the first space-separated key=value field named key in text."""
+    return re.search(rf"(?:^| ){key}=(\S*)", text, re.MULTILINE).group(1)
+
+
 @pytest.mark.parametrize("name", sorted(CLI))
 def test_cli_run_digest(name, tmp_path, capsys):
     source, run_args = CLI[name]
@@ -203,14 +209,21 @@ def test_cli_run_digest(name, tmp_path, capsys):
     else:
         save_topology(source(), str(topo_path))
         location = ["--topology", str(topo_path)]
-    text = _cli(capsys, "run", *location, *run_args, "--trace-out", str(trace_path),
-                "--topology-out", str(final_topo))
+    summary = _cli(capsys, "run", *location, *run_args, "--trace-out", str(trace_path),
+                   "--topology-out", str(final_topo))
+    text = summary
     if trace_path.exists():
         text += trace_path.read_text()
         if not final_topo.exists():
             final_topo = topo_path
-        text += _cli(capsys, "verify", "--trace", str(trace_path),
-                     "--topology", str(final_topo))
+        report = _cli(capsys, "verify", "--trace", str(trace_path),
+                      "--topology", str(final_topo))
+        text += report
+        if summary.startswith("exit=0\n"):
+            # run counts with a sink of its own; the verifier's fold of the trace must agree
+            counts = _value(summary, "broadcasts")
+            assert (counts if counts != "none" else "") == _value(report, "message_counts")
+            assert _value(summary, "palette") == _value(report, "palette_size")
     assert _sha(text) == CLI_DIGESTS[name]
 
 

@@ -19,7 +19,7 @@ from d2color.proto_tree_par import (
 )
 from d2color.scenarios import builtin_topology
 from d2color.topology import build_topology, generate_random_tree, metrics, validate_identities
-from d2color.verifier import d2_conflicts, tdma_replay, verify_run
+from d2color.verifier import d2_conflicts, fold_rounds, tdma_replay, verify_run
 
 
 def completed_sim(topology, root, **kw):
@@ -37,7 +37,7 @@ class TestJoin:
         # the path's palette is {0,1,2}; the end knows its own 2 and the
         # middle's 1, leaving exactly 0
         assert out.color == 0
-        colors = sim.trace.final_colors()
+        colors = fold_rounds(sim.topology, sim.trace).colors
         assert colors[out.joiner_index] == 0
         assert d2_conflicts(out.topology, colors) == []
         validate_identities(out.topology)
@@ -46,7 +46,7 @@ class TestJoin:
         sim = completed_sim(builtin_topology("path3"), 2)
         out = execute_join(sim, 3)
         rec = next(r for r in sim.trace.broadcasts if r.message.kind == "NEW")
-        parent_color = sim.trace.final_states()[3]["color"]
+        parent_color = fold_rounds(sim.topology, sim.trace).finals[3]["color"]
         assert rec.round % 3 == parent_color
         assert rec.origin == 3
         assert out.joiner_index in rec.receivers
@@ -79,7 +79,7 @@ class TestJoin:
         first = execute_join(sim, 3)
         second = execute_join(sim, 3)
         assert first.color != second.color
-        colors = sim.trace.final_colors()
+        colors = fold_rounds(sim.topology, sim.trace).colors
         assert len(colors) == second.topology.n == 10
         assert d2_conflicts(second.topology, colors) == []
 
@@ -111,7 +111,7 @@ class TestJoin:
             if not parents:
                 continue
             out = execute_join(sim, parents[rng.randrange(len(parents))])
-            colors = sim.trace.final_colors()
+            colors = fold_rounds(sim.topology, sim.trace).colors
             assert len(colors) == out.topology.n
             assert d2_conflicts(out.topology, colors) == []
             assert tdma_replay(out.topology, colors, delta) == 0
@@ -126,8 +126,9 @@ class TestJoinColors:
     @staticmethod
     def _check_joiner_color(sim, parent, out):
         # everything read from the trace: the parent's last state and its neighbours' colors
-        state = sim.trace.final_states()[parent]
-        colors = sim.trace.final_colors()
+        facts = fold_rounds(sim.topology, sim.trace)
+        state = facts.finals[parent]
+        colors = facts.colors
         others = [j for j in out.topology.neighbors(parent) if j != out.joiner_index]
         known = {state["color"], state["sender_cl"], *(colors[j] for j in others)}
         assert out.color == colors[out.joiner_index] == min(set(range(len(known) + 1)) - known)
@@ -169,8 +170,7 @@ def colored_path3(ident_base=0):
     ids = [ident_base + 1, ident_base + 2, ident_base + 3]
     topo = build_topology([(1, 2), (2, 3)], identities=ids, kind="tree")
     sim = make_simulation(topo, 2)
-    trace = sim.run(100)
-    return topo, trace.final_colors()
+    return topo, fold_rounds(topo, sim.run(100)).colors
 
 
 class TestMerge:
@@ -206,7 +206,7 @@ class TestMerge:
         t1, c1 = colored_path3(0)
         star = builtin_topology("star4")
         sim = make_simulation(star, 1)
-        c3 = sim.run(100).final_colors()
+        c3 = fold_rounds(star, sim.run(100)).colors
         with pytest.raises(DegreeMismatch):
             merge_trees(t1, c1, star, c3, 3, 2)
 

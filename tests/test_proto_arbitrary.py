@@ -13,7 +13,7 @@ from d2color.scenarios import (
 )
 from d2color.topology import generate_random_connected, generate_random_tree
 from d2color.traceio import trace_to_text
-from d2color.verifier import d2_conflicts, tdma_replay
+from d2color.verifier import d2_conflicts, fold_rounds, tdma_replay
 
 
 def run_table1(pinned=True, budget=200):
@@ -29,17 +29,18 @@ class TestTable1Replay:
         assert table1_mismatches(trace) == []
 
     def test_final_colors(self):
-        assert run_table1().final_colors() == TABLE1_FINAL_COLORS
+        topo = builtin_topology("table1")
+        assert fold_rounds(topo, run_table1()).colors == TABLE1_FINAL_COLORS
 
     def test_far_apart_pair_may_share_a_color(self):
         topo = builtin_topology("table1")
-        colors = run_table1().final_colors()
+        colors = fold_rounds(topo, run_table1()).colors
         assert colors[4] == colors[5] == 2
         assert d2_conflicts(topo, colors) == []
 
     def test_sequential_flow(self):
         trace = run_table1()
-        assert trace.max_broadcasts_per_round() <= 1
+        assert fold_rounds(builtin_topology("table1"), trace).most_broadcasts <= 1
         assert trace.clashes == ()
 
     def test_default_choice_rule_reproduces_the_pinned_run(self):
@@ -127,18 +128,20 @@ class TestTreesAreClean:
             trace = make_simulation(topo, root).run(20000)
             assert trace.status == "terminated"
             assert trace.clashes == ()
-            assert trace.max_broadcasts_per_round() <= 1
-            colors = trace.final_colors()
+            facts = fold_rounds(topo, trace)
+            assert facts.most_broadcasts <= 1
+            colors = facts.colors
             assert len(colors) == n
             assert d2_conflicts(topo, colors) == []
-            assert trace.broadcast_counts().get("CORRECT") is None
+            assert facts.counts.get("CORRECT") is None
 
     def test_singleton_never_claims(self):
         # with no neighbors the completion report goes nowhere, so the lone
         # process finishes its own work but nobody declares completion
-        trace = make_simulation(builtin_topology("singleton"), 1).run(100)
+        topo = builtin_topology("singleton")
+        trace = make_simulation(topo, 1).run(100)
         assert trace.status == "partial"
-        assert trace.final_states()[1]["state"] == 0
+        assert fold_rounds(topo, trace).finals[1]["state"] == 0
 
 
 class TestCyclicGraphDefect:
@@ -158,14 +161,14 @@ class TestCyclicGraphDefect:
         return topo, make_simulation(topo, 3).run(5000)
 
     def test_run_terminates_without_clash(self):
-        _, trace = self.setup_run()
+        topo, trace = self.setup_run()
         assert trace.status == "terminated"
         assert trace.clashes == ()
-        assert trace.max_broadcasts_per_round() <= 1
+        assert fold_rounds(topo, trace).most_broadcasts <= 1
 
     def test_oracle_catches_the_distance2_violation(self):
         topo, trace = self.setup_run()
-        colors = trace.final_colors()
+        colors = fold_rounds(topo, trace).colors
         assert colors == {1: 1, 2: 2, 3: 0, 4: 2}
         assert d2_conflicts(topo, colors) == [(2, 4, 2)]
         assert tdma_replay(topo, colors, delta=3) > 0
@@ -186,7 +189,7 @@ class TestRandomConnectedGraphs:
                 tally["clash"] += 1
                 continue
             assert trace.status == "terminated"
-            colors = trace.final_colors()
+            colors = fold_rounds(topo, trace).colors
             conflicts = d2_conflicts(topo, colors)
             delta = topo.delta
             if len(colors) == n:
@@ -212,6 +215,6 @@ class TestRandomConnectedGraphs:
         topo = build_topology([(1, 2), (2, 3), (3, 4), (4, 1)], kind="general")
         trace = make_simulation(topo, 1).run(5000)
         assert trace.status == "terminated"
-        colors = trace.final_colors()
+        colors = fold_rounds(topo, trace).colors
         assert len(colors) == 4
         assert d2_conflicts(topo, colors) == []

@@ -13,8 +13,8 @@ from d2color.scenarios import builtin_topology
 from d2color.topology import metrics
 from d2color.traceio import trace_to_text
 from d2color.verifier import (
-    completion_round,
     end_wave_violations,
+    fold_rounds,
     par_edge_color_violations,
     verify_run,
 )
@@ -26,9 +26,10 @@ class TestPath3FromMiddle:
     def setup_method(self):
         self.topo = builtin_topology("path3")
         self.trace = run_par(self.topo, 2)
+        self.facts = fold_rounds(self.topo, self.trace)
 
     def test_colors(self):
-        assert self.trace.final_colors() == {1: 0, 2: 1, 3: 2}
+        assert self.facts.colors == {1: 0, 2: 1, 3: 2}
 
     def test_root_color_is_1(self):
         first = next(c for c in self.trace.changes if c.proc == 2)
@@ -40,13 +41,13 @@ class TestPath3FromMiddle:
         assert rec.round == 1
 
     def test_claim_round(self):
-        assert completion_round(self.trace) == 3
+        assert self.facts.claim_round == 3
 
     def test_all_end_at_state_6_knowing_palette_size(self):
-        assert end_wave_violations(self.trace.final_states(), delta=2) == []
+        assert end_wave_violations(self.facts.finals, delta=2) == []
 
     def test_counts(self):
-        assert self.trace.broadcast_counts() == {"COLOR_PAR": 1, "TERM_PAR": 2, "END": 1}
+        assert self.facts.counts == {"COLOR_PAR": 1, "TERM_PAR": 2, "END": 1}
 
     def test_no_clashes(self):
         assert self.trace.clashes == ()
@@ -57,20 +58,19 @@ class TestStar4:
         from d2color.topology import build_topology
 
         topo = build_topology([(1, 2), (1, 3), (1, 4)], kind="tree")
-        trace = run_par(topo, 1)
-        assert trace.final_colors() == {1: 1, 2: 0, 3: 2, 4: 3}
+        assert fold_rounds(topo, run_par(topo, 1)).colors == {1: 1, 2: 0, 3: 2, 4: 3}
 
     def test_children_colors_skip_root_color(self):
-        trace = run_par(builtin_topology("star4"), 1)
-        assert trace.final_colors() == {1: 1, 2: 0, 3: 2, 4: 3, 5: 4}
+        topo = builtin_topology("star4")
+        assert fold_rounds(topo, run_par(topo, 1)).colors == {1: 1, 2: 0, 3: 2, 4: 3, 5: 4}
 
     def test_palette_is_delta_plus_1(self):
-        trace = run_par(builtin_topology("star4"), 1)
-        assert len(set(trace.final_colors().values())) == 5
+        topo = builtin_topology("star4")
+        assert len(set(fold_rounds(topo, run_par(topo, 1)).colors.values())) == 5
 
     def test_coloring_phase_broadcast_bound(self):
-        trace = run_par(builtin_topology("star4"), 1)
-        counts = trace.broadcast_counts()
+        topo = builtin_topology("star4")
+        counts = fold_rounds(topo, run_par(topo, 1)).counts
         assert counts["COLOR_PAR"] + counts["TERM_PAR"] <= 2 * 5 - 4
 
 
@@ -135,10 +135,12 @@ class TestHandlers:
 
 class TestEndWaveEdgeCases:
     def test_singleton_reaches_state_6(self):
-        trace = run_par(builtin_topology("singleton"), 1)
+        topo = builtin_topology("singleton")
+        trace = run_par(topo, 1)
         assert trace.status == "terminated"
-        assert trace.final_states()[1]["state"] == 6
-        assert trace.final_states()[1]["max_nb_cl"] == 1
+        finals = fold_rounds(topo, trace).finals
+        assert finals[1]["state"] == 6
+        assert finals[1]["max_nb_cl"] == 1
 
     def test_two_processes_literal_guard_stalls_the_wave(self):
         from d2color.topology import build_topology
@@ -146,7 +148,7 @@ class TestEndWaveEdgeCases:
         topo = build_topology([(1, 2)], kind="tree")
         trace = run_par(topo, 1)
         assert trace.status == "partial"
-        states = {p: s["state"] for p, s in trace.final_states().items()}
+        states = {p: s["state"] for p, s in fold_rounds(topo, trace).finals.items()}
         assert states == {1: 6, 2: 4}
 
     def test_two_processes_with_root_override(self):
@@ -155,22 +157,25 @@ class TestEndWaveEdgeCases:
         topo = build_topology([(1, 2)], kind="tree")
         trace = run_par(topo, 1, root_always_ends=True)
         assert trace.status == "terminated"
-        assert end_wave_violations(trace.final_states(), delta=1) == []
+        assert end_wave_violations(fold_rounds(topo, trace).finals, delta=1) == []
 
     def test_leaf_root_stalls_without_override(self):
         trace = run_par(builtin_topology("path3"), 1)
         assert trace.status == "partial"
 
     def test_leaf_root_completes_with_override(self):
-        trace = run_par(builtin_topology("path3"), 1, root_always_ends=True)
+        topo = builtin_topology("path3")
+        trace = run_par(topo, 1, root_always_ends=True)
         assert trace.status == "terminated"
-        assert trace.final_colors() == {1: 1, 2: 0, 3: 2}
+        assert fold_rounds(topo, trace).colors == {1: 1, 2: 0, 3: 2}
 
     def test_no_end_phase_stops_at_root_claim(self):
-        trace = run_par(builtin_topology("path3"), 2, end_phase=False)
+        topo = builtin_topology("path3")
+        trace = run_par(topo, 2, end_phase=False)
         assert trace.status == "terminated"
-        assert trace.broadcast_counts().get("END") is None
-        states = {p: s["state"] for p, s in trace.final_states().items()}
+        facts = fold_rounds(topo, trace)
+        assert facts.counts.get("END") is None
+        states = {p: s["state"] for p, s in facts.finals.items()}
         assert states[1] == 4 and states[3] == 4
 
     def test_late_start_round(self):
@@ -179,7 +184,7 @@ class TestEndWaveEdgeCases:
         assert trace.status == "terminated"
         root_color = next(c.state["color"] for c in trace.changes if c.proc == 1)
         assert root_color == (3 + 1) % 5
-        assert end_wave_violations(trace.final_states(), delta=4) == []
+        assert end_wave_violations(fold_rounds(topo, trace).finals, delta=4) == []
 
     def test_round_bound_counts_from_the_start_signal(self):
         topo = builtin_topology("path3")
@@ -194,7 +199,7 @@ class TestSiblingEndParallel:
         topo = builtin_topology("binary15")
         trace = run_par(topo, 1, sibling_end_parallel=True)
         assert trace.status == "terminated"
-        assert end_wave_violations(trace.final_states(), delta=3) == []
+        assert end_wave_violations(fold_rounds(topo, trace).finals, delta=3) == []
         assert trace.clashes  # siblings really did collide at their parents
         kinds = {
             rec.message.kind
@@ -225,9 +230,10 @@ class TestCorpusProperties:
         for topo, root in self.CORPUS[:8]:
             trace = run_par(topo, root)
             assert trace.clashes == ()
-            assert par_edge_color_violations(topo, trace.final_states()) == []
+            finals = fold_rounds(topo, trace).finals
+            assert par_edge_color_violations(topo, finals) == []
             delta = metrics(topo, root).delta
-            assert end_wave_violations(trace.final_states(), delta) == []
+            assert end_wave_violations(finals, delta) == []
 
     def test_mixed_moduli_slot_gating_is_clash_free(self):
         # coloring gates on the parent's budget, the end wave on the learned

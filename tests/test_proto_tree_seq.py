@@ -12,6 +12,7 @@ from d2color.scenarios import builtin_topology
 from d2color.topology import generate_random_tree, metrics
 from d2color.verifier import (
     check_coloring,
+    fold_rounds,
     seq_knowledge_violations,
     verify_run,
 )
@@ -23,9 +24,10 @@ class TestPath3HandTrace:
     def setup_method(self):
         self.topo = builtin_topology("path3")
         self.trace = run_seq(self.topo, 1)
+        self.facts = fold_rounds(self.topo, self.trace)
 
     def test_colors(self):
-        assert self.trace.final_colors() == {1: 0, 2: 1, 3: 2}
+        assert self.facts.colors == {1: 0, 2: 1, 3: 2}
 
     def test_termination(self):
         assert self.trace.status == "terminated"
@@ -36,7 +38,7 @@ class TestPath3HandTrace:
         assert claimed and claimed[0].round == 5
 
     def test_message_counts(self):
-        assert self.trace.broadcast_counts() == {"COLOR_SEQ": 2, "TERM_SEQ": 2}
+        assert self.facts.counts == {"COLOR_SEQ": 2, "TERM_SEQ": 2}
 
     def test_no_clashes(self):
         assert self.trace.clashes == ()
@@ -46,22 +48,23 @@ class TestPath3HandTrace:
         assert first == ColorSeq(dest=2, sender=1, sender_cl=0, d1colors=())
 
     def test_root_learned_max_degree(self):
-        final = self.trace.final_states()[1]
+        final = self.facts.finals[1]
         assert final["max_d"] == 2
 
 
 class TestSmallCases:
     def test_root_takes_color_0_and_self_parent(self):
-        trace = run_seq(builtin_topology("star4"), 1)
-        root = trace.final_states()[1]
+        topo = builtin_topology("star4")
+        root = fold_rounds(topo, run_seq(topo, 1)).finals[1]
         assert root["color"] == 0
         assert root["parent"] == 1
 
     def test_singleton_claims_without_broadcasting(self):
-        trace = run_seq(builtin_topology("singleton"), 1)
+        topo = builtin_topology("singleton")
+        trace = run_seq(topo, 1)
         assert trace.status == "terminated"
         assert trace.broadcasts == ()
-        assert trace.final_colors() == {1: 0}
+        assert fold_rounds(topo, trace).colors == {1: 0}
 
     def test_root_with_children_enters_active_state(self):
         trace = run_seq(builtin_topology("star4"), 1)
@@ -120,10 +123,11 @@ class TestCorpusProperties:
     def test_sequential_flow_and_max_degree_learning(self):
         for topo, root in self.CORPUS[:10]:
             trace = run_seq(topo, root)
-            assert trace.max_broadcasts_per_round() <= 1
+            facts = fold_rounds(topo, trace)
+            assert facts.most_broadcasts <= 1
             assert trace.clashes == ()
             delta = metrics(topo, root).delta
-            assert trace.final_states()[root]["max_d"] == delta
+            assert facts.finals[root]["max_d"] == delta
 
     def test_carried_color_sets_stay_below_max_degree(self):
         # every color broadcast carries fewer than delta colors: the sender
@@ -139,7 +143,7 @@ class TestCorpusProperties:
                     assert min(rec.message.d1colors, default=0) >= 0
             for ch in trace.changes:
                 assert min(ch.state["d1colors"], default=0) >= 0
-            assert trace.final_states()[root]["sender_cl"] == -1
+            assert fold_rounds(topo, trace).finals[root]["sender_cl"] == -1
 
     def test_knowledge_sets_reach_delta_after_last_report(self):
         # the strict snapshot bound does not survive a subtree's final
@@ -211,7 +215,7 @@ class TestRandomNextChild:
         for seed in (0, 1, 2):
             sim = make_simulation(topo, 1, next_child_order="random", seed=seed)
             trace = sim.run(auto_budget(60, delta))
-            ok_v, _, ok_c, _ = check_coloring(topo, trace.final_colors(), delta)
+            ok_v, _, ok_c, _ = check_coloring(topo, fold_rounds(topo, trace).colors, delta)
             assert trace.status == "terminated" and ok_v and ok_c
 
     def test_orders_can_differ_but_counts_match(self):
@@ -221,7 +225,7 @@ class TestRandomNextChild:
         rand = make_simulation(topo, 1, next_child_order="random", seed=4).run(
             auto_budget(60, delta)
         )
-        assert base.broadcast_counts() == rand.broadcast_counts()
+        assert fold_rounds(topo, base).counts == fold_rounds(topo, rand).counts
 
 
 class TestReusedIdentities:

@@ -14,6 +14,7 @@ from d2color.verifier import (
     Coloring,
     check_coloring,
     d2_conflicts,
+    fold_rounds,
     greedy_reference_coloring,
     tdma_replay,
     verify_run,
@@ -90,8 +91,7 @@ class TestGreedyReference:
 class TestTdmaReplay:
     def test_valid_tree_coloring_is_silent(self):
         topo = builtin_topology("star4")
-        trace = run_par(topo, 1)
-        assert tdma_replay(topo, trace.final_colors(), delta=4) == 0
+        assert tdma_replay(topo, fold_rounds(topo, run_par(topo, 1)).colors, delta=4) == 0
 
     def test_sibling_corruption_collides_at_parent(self):
         topo = builtin_topology("star4")
