@@ -150,6 +150,10 @@ def cmd_run(args) -> int:
     if args.join_parent is not None and protocol.module is not proto_tree_par:
         print("--join-parent needs --protocol par_tree", file=sys.stderr)
         return 3
+    if (args.trace_out and args.topology_out
+            and os.path.realpath(args.trace_out) == os.path.realpath(args.topology_out)):
+        print("--trace-out and --topology-out name the same file", file=sys.stderr)
+        return 3
     try:
         topology = _load_source(args)
     except OSError as exc:

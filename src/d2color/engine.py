@@ -101,10 +101,6 @@ class Round(NamedTuple):
     clashes: Sequence[ClashEvent]
     changes: Sequence[StateChange]
 
-    def frozen(self) -> Round:
-        """This round with a tuple for each list, as a Trace keeps it."""
-        return Round(self.round, *map(tuple, self[1:]))
-
 
 class RunStatus(str, Enum):
     TERMINATED = "terminated"
@@ -130,9 +126,9 @@ class Trace:
     changes = property(lambda self: tuple(rec for rnd in self.kept for rec in rnd.changes))
 
     def add_round(self, rnd: Round) -> None:
-        """Keep rnd, the round after the last one kept, if it holds a record."""
+        """Keep rnd, the round after the last one kept, in tuples, if it holds a record."""
         if rnd.externals or rnd.broadcasts or rnd.clashes or rnd.changes:
-            self.kept.append(rnd.frozen())
+            self.kept.append(Round(rnd.round, *map(tuple, rnd[1:])))
 
     def by_round(self) -> Iterator[Round]:
         """The kept rounds, in increasing round order."""

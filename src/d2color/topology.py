@@ -121,7 +121,6 @@ def build_topology(
     if not edges and n > 1:
         raise TopologyError("edge list may be empty only for a singleton")
 
-    adj: list[set[int]] = [set() for _ in range(n + 1)]
     seen = set()
     for a, b in edges:
         if not (1 <= a <= n and 1 <= b <= n):
@@ -132,12 +131,16 @@ def build_topology(
         if key in seen:
             raise DuplicateEdge(f"edge {key} listed twice")
         seen.add(key)
-        adj[a].add(b)
-        adj[b].add(a)
 
+    # counted before anything is allocated per process, so a mistyped n costs nothing
     if kind == "tree" and len(seen) != n - 1:
         raise NotATree(f"tree on {n} processes needs {n - 1} edges, got {len(seen)}")
-
+    if len(seen) < n - 1:
+        raise DisconnectedGraph(f"{n} processes need at least {n - 1} edges, got {len(seen)}")
+    adj: list[set[int]] = [set() for _ in range(n + 1)]
+    for a, b in seen:
+        adj[a].add(b)
+        adj[b].add(a)
     frozen = tuple(tuple(sorted(s)) for s in adj)
     reached = len(bfs(frozen, 1))
     if reached != n:

@@ -3,8 +3,9 @@
 One event per line with a fixed field order, so re-running a scenario yields
 a byte-identical file and regressions show up as plain diffs.  The writers
 render one round at a time and sort its lines; TraceWriter takes each round as
-the engine finishes it.  The readers decode the JSON of _BATCH lines in one
-call; TraceReader hands a file over one round at a time.
+the engine finishes it.  There is one reader: TraceReader decodes the JSON of
+_BATCH lines in one call and hands a file over one round at a time, and
+read_trace and parse_trace keep every round it hands over in a Trace.
 """
 
 import json
@@ -213,36 +214,6 @@ def _batches(lines):
         raise TraceFormatError(f"line {number + 1}: {exc}") from None
 
 
-def _parse_lines(lines) -> Trace:
-    """The lines' trace: rounds may come in any order; only the round being read holds lists."""
-    trace, rounds, rnd = Trace(), {}, Round(-1, (), (), (), ())  # no round read yet
-    with gc_paused():
-        for batch in _batches(lines):
-            for _, tag, value in batch:
-                if tag == "meta":
-                    trace.meta = value
-                elif tag == "end":
-                    trace.status, trace.rounds, trace.claimed_by = value
-                else:
-                    if value.round != rnd.round:
-                        rounds[rnd.round] = rnd.frozen()
-                        rnd = (Round(value.round, [], [], [], []) if value.round not in rounds
-                               else Round(value.round, *map(list, rounds[value.round][1:])))
-                    rnd[_SLOT[tag]].append(value)
-        rounds[rnd.round] = rnd.frozen()
-        trace.kept = [rounds[t] for t in sorted(rounds) if t >= 0]
-    return trace
-
-
-def parse_trace(text: str) -> Trace:
-    return _parse_lines(text.splitlines())
-
-
-def read_trace(path: str) -> Trace:
-    with open(path, "rb") as fh:  # each line decoded on its own, so a decode error has a line
-        return _parse_lines(map(bytes.decode, fh))
-
-
 class TraceReader:
     """A trace read one round at a time; it holds one round's records, never the whole trace.
 
@@ -250,19 +221,18 @@ class TraceReader:
     line after the format line, which must be a meta line.  by_round() yields
     the rounds, which must not decrease from one line to the next, and can be
     run once; once it is exhausted, status, rounds and claimed_by hold the end
-    line's fields.  read_trace, which holds the whole trace, takes rounds in
-    any order, so that it names every damaged line itself; here a round raised
-    by damage shows only at the line after it.  n is the topology's process
-    count, and the fields the verifier reads are checked against it: the
-    meta's root and every broadcast origin, clash victim and participant and
-    state-change proc lie in 1..n, the meta's start_round, a state's color and
-    a COLOR_SEQ's d1colors are integers, and the meta's protocol is one the
-    verifier knows (a key of verifier.PROMISES).  A meta without a root, a
-    start_round or a protocol is refused, as the bounds depend on all three.
-    Every fault raises TraceFormatError naming its line.
+    line's fields.  A round raised by damage shows only at the line after it.
+    n, when given, is the topology's process count, and the fields the
+    verifier reads are checked against it: the meta's root and every broadcast
+    origin, clash victim and participant and state-change proc lie in 1..n,
+    the meta's start_round, a state's color and a COLOR_SEQ's d1colors are
+    integers, and the meta's protocol is one the verifier knows (a key of
+    verifier.PROMISES).  A meta without a root, a start_round or a protocol is
+    refused, as the bounds depend on all three.  Every fault raises
+    TraceFormatError naming its line.
     """
 
-    def __init__(self, lines, n: int):
+    def __init__(self, lines, n: int | None = None):
         self._n = n
         self.status, self.rounds, self.claimed_by = "", 0, None
         self._records = chain.from_iterable(_batches(lines))
@@ -270,7 +240,7 @@ class TraceReader:
         if first is None or first[1] != "meta":
             raise TraceFormatError("line 2: the meta line must follow the format line")
         number, _, self.meta = first
-        if problem := _meta_problem(self.meta, n):
+        if n is not None and (problem := _meta_problem(self.meta, n)):
             raise TraceFormatError(f"line {number}: {problem}")
 
     def by_round(self) -> Iterator[Round]:
@@ -288,7 +258,7 @@ class TraceReader:
                             f"line {number}: round {value.round} after round {rnd.round}")
                     yield rnd
                 rnd = Round(value.round, [], [], [], [])
-            if problem := _field_problem(tag, value, n):
+            if n is not None and (problem := _field_problem(tag, value, n)):
                 raise TraceFormatError(f"line {number}: {problem}")
             rnd[_SLOT[tag]].append(value)
         if rnd is not None:
@@ -296,10 +266,29 @@ class TraceReader:
 
 
 @contextmanager
-def open_trace(path: str, n: int) -> Iterator[TraceReader]:
+def open_trace(path: str, n: int | None = None) -> Iterator[TraceReader]:
     """A TraceReader over the trace file at path, open for the with block."""
     with open(path, "rb") as fh:  # each line decoded on its own, so a decode error has a line
         yield TraceReader(map(bytes.decode, fh), n)
+
+
+def _whole(reader: TraceReader) -> Trace:
+    """The Trace of all the reader's rounds."""
+    trace = Trace(reader.meta)
+    with gc_paused():
+        for rnd in reader.by_round():
+            trace.add_round(rnd)
+    trace.status, trace.rounds, trace.claimed_by = reader.status, reader.rounds, reader.claimed_by
+    return trace
+
+
+def parse_trace(text: str) -> Trace:
+    return _whole(TraceReader(text.splitlines()))
+
+
+def read_trace(path: str) -> Trace:
+    with open_trace(path) as reader:
+        return _whole(reader)
 
 
 def _meta_problem(meta: dict, n: int) -> str | None:

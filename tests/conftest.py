@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import random
 
+from hypothesis import strategies as st
+
 from d2color import proto_tree_par, proto_tree_seq
 from d2color.cli import auto_budget
 from d2color.topology import Topology, generate_random_tree, metrics
@@ -53,3 +55,18 @@ def state_breaches(rounds) -> list[tuple[int, int, str]]:
             seen.add(ch.proc)
             last[ch.proc] = ch.state
     return found
+
+
+def damage_a_line(data, lines: list[str]) -> int:
+    """Damage one of lines in place, as data draws: cut it short, or replace up to four of its
+    characters with up to four others, none of them a line break.  Returns the line's index."""
+    k = data.draw(st.integers(0, len(lines) - 1), label="line index")
+    line = lines[k]
+    start = data.draw(st.integers(0, len(line)), label="start")
+    if data.draw(st.booleans(), label="truncate"):
+        lines[k] = line[:start]
+    else:
+        text = st.text(st.characters(exclude_categories=("Cc", "Cs", "Zl", "Zp")), max_size=4)
+        end = data.draw(st.integers(start, min(len(line), start + 4)), label="end")
+        lines[k] = line[:start] + data.draw(text, label="inserted") + line[end:]
+    return k

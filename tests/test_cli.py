@@ -1,12 +1,17 @@
+import contextlib
+import io
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import damage_a_line
 from d2color import proto_arbitrary, proto_tree_par
 from d2color.cli import PROTOCOLS, auto_budget, main
 from d2color.engine import ClashDetected, ProtocolViolation
 from d2color.topology import generate_random_connected, load_topology, save_topology
-from d2color.traceio import trace_to_text
+from d2color.traceio import TraceFormatError, parse_trace, trace_to_text
 
 
 def run_cli(*args):
@@ -284,6 +289,16 @@ class TestOutputPaths:
                        "--topology-out", str(tmp_path / "p.topo")) == 2
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("spelling", ["{}/out", "{}/./out"])
+    def test_one_path_for_both_outputs_is_usage_error(self, tmp_path, capsys, spelling):
+        target, other = tmp_path / "out", spelling.format(tmp_path)
+        assert run_cli("run", "--builtin", "path3", "--protocol", "par_tree", "--root", "2",
+                       "--trace-out", str(target), "--topology-out", other) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "--trace-out and --topology-out name the same file\n"
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestVerifyRejectsMismatchedTraces:
     def _trace(self, tmp_path, builtin, *args):
@@ -340,6 +355,54 @@ class TestVerifyRejectsMismatchedTraces:
         trace_path.write_text("\n".join(lines) + "\n")
         err = self._verify_error(capsys, trace_path, tmp_path / "path3.topo")
         assert re.fullmatch(r"cannot load inputs: line 4: round 0 after round \d+\n", err)
+
+
+# the runs whose files TestDamagedInputs damages: `gen` arguments, then `run` arguments
+DAMAGED_RUNS = {
+    "par_sibling_end_parallel": (["--tree", "--n", "45", "--max-degree", "5", "--seed", "6"],
+                                 ["--protocol", "par_tree", "--sibling-end-parallel",
+                                  "--clash-policy", "record_and_corrupt"]),
+    "seq_tree": (["--tree", "--n", "20", "--max-degree", "4", "--seed", "1"],
+                 ["--protocol", "seq_tree"]),
+    "table1": (["--builtin", "table1"], ["--protocol", "arbitrary", "--pin-table1-choices"]),
+}
+
+
+class TestDamagedInputs:
+    @pytest.fixture(scope="class")
+    def runs(self, tmp_path_factory):
+        """A directory for the damaged files, and each run's topology and trace text."""
+        out = tmp_path_factory.mktemp("runs")
+        texts = {}
+        for name, (gen, run) in DAMAGED_RUNS.items():
+            topo, trace = out / f"{name}.topo", out / f"{name}.trace"
+            assert run_cli("gen", *gen, "-o", str(topo)) == 0
+            assert run_cli("run", "--topology", str(topo), *run, "--trace-out", str(trace)) == 0
+            texts[name] = {"topology": topo.read_text(), "trace": trace.read_text()}
+        return out, texts
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_verify_of_one_damaged_line_ends_in_a_documented_exit(self, runs, data):
+        out, texts = runs
+        files = dict(texts[data.draw(st.sampled_from(sorted(texts)), label="run")])
+        damaged = data.draw(st.sampled_from(sorted(files)), label="file")
+        lines = files[damaged].splitlines()
+        damage_a_line(data, lines)
+        files[damaged] = "\n".join(lines) + "\n"
+        for kind, text in files.items():
+            (out / kind).write_bytes(text.encode("utf-8"))
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = run_cli("verify", "--trace", str(out / "trace"),
+                           "--topology", str(out / "topology"))
+        assert code in (0, 1, 3)
+        if code == 3:
+            assert stderr.getvalue().count("\n") == 1 and stderr.getvalue().endswith("\n")
+        try:
+            parse_trace(files["trace"])
+        except TraceFormatError:
+            assert code == 3  # verify reads the trace with the reader parse_trace drains
 
 
 class TestBench:

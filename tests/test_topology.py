@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -84,6 +85,17 @@ class TestBuildTopology:
     def test_out_of_range_index(self):
         with pytest.raises(TopologyError):
             build_topology([(1, 5)], kind="tree", n=2)
+
+    @pytest.mark.parametrize("kind, error", [("tree", NotATree), ("general", DisconnectedGraph)])
+    def test_a_mistyped_n_is_refused_before_any_per_process_allocation(self, kind, error):
+        tracemalloc.start()
+        try:
+            with pytest.raises(error, match="edges, got 2$"):
+                build_topology([(1, 2), (2, 3)], kind=kind, n=200_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
 
 class TestGenerateRandomTree:

@@ -1,13 +1,12 @@
 import io
 import json
-import random
 import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import run_par, run_seq
+from conftest import damage_a_line, run_par, run_seq
 from d2color import proto_tree_par, proto_tree_seq, traceio
 from d2color.cli import auto_budget
 from d2color.engine import Round
@@ -156,20 +155,17 @@ class TestMalformedInput:
     @given(data=st.data())
     def test_damaged_line_parses_or_is_named(self, data):
         lines = list(CLASHING)
-        k = data.draw(st.integers(0, len(lines) - 1), label="line index")
-        line = lines[k]
-        start = data.draw(st.integers(0, len(line)), label="start")
-        if data.draw(st.booleans(), label="truncate"):
-            lines[k] = line[:start]
-        else:
-            # no line breaks, so the damage stays on one line
-            text = st.text(st.characters(exclude_categories=("Cc", "Cs", "Zl", "Zp")), max_size=4)
-            end = data.draw(st.integers(start, min(len(line), start + 4)), label="end")
-            lines[k] = line[:start] + data.draw(text, label="inserted") + line[end:]
+        k = damage_a_line(data, lines)
         try:
             parse_trace("\n".join(lines) + "\n")
         except TraceFormatError as exc:
-            assert str(exc).startswith(f"line {k + 1}: ")
+            # a round raised by the damage shows only at the line after it, whose round is lower
+            raised = re.fullmatch(rf"line {k + 2}: round \d+ after round (\d+)", str(exc))
+            if raised:
+                written = lines[k].split(" ")[1]
+                assert written.startswith("round=") and int(written[6:]) == int(raised[1])
+            else:
+                assert str(exc).startswith(f"line {k + 1}: ")
 
 
 class TestStreaming:
@@ -219,19 +215,28 @@ def _read_all(lines, n):
 
 
 class TestTraceReaderRejects:
-    def test_a_round_below_the_line_before(self):
+    def test_a_round_below_the_line_before(self, tmp_path):
         lines = list(CLASHING)
         last_round = int(lines[-2].split(" ")[1].removeprefix("round="))
         lines.insert(2, lines.pop(-2))  # the last event first
-        parse_trace("\n".join(lines))  # the whole-trace parser takes rounds in any order
-        with pytest.raises(TraceFormatError, match=rf"^line 4: round 0 after round {last_round}$"):
+        below = rf"^line 4: round 0 after round {last_round}$"
+        with pytest.raises(TraceFormatError, match=below):
             _read_all(lines, 45)
+        # the whole-trace readers drain the same reader
+        with pytest.raises(TraceFormatError, match=below):
+            parse_trace("\n".join(lines))
+        path = tmp_path / "moved.trace"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(TraceFormatError, match=below):
+            read_trace(str(path))
 
     def test_a_meta_line_after_an_event(self):
         lines = list(CLASHING)
         lines[1], lines[2] = lines[2], lines[1]
         with pytest.raises(TraceFormatError, match=r"^line 2: the meta line must follow"):
             _read_all(lines, 45)
+        with pytest.raises(TraceFormatError, match=r"^line 2: the meta line must follow"):
+            parse_trace("\n".join(lines))
 
     def test_indices_outside_the_topology(self):
         lines = list(CLASHING)  # a trace of 45 processes, read as one of 10
@@ -344,24 +349,3 @@ class TestCodec:
         with pytest.raises(TraceFormatError, match=r"^line 3: "):
             parse_trace("\n".join(lines))
 
-
-class TestRoundOrder:
-    def test_whole_rounds_out_of_order_parse_to_the_canonical_trace(self):
-        head, events, end = CLASHING[:2], CLASHING[2:-1], CLASHING[-1]
-        rounds = {}
-        for line in events:
-            rounds.setdefault(int(line.split(" ")[1].removeprefix("round=")), []).append(line)
-        assert len(rounds) > 2
-        order = sorted(rounds)
-        random.Random(1).shuffle(order)
-        assert order != sorted(order)
-        moved = [*head, *(line for t in order for line in rounds[t]), end]
-        trace = parse_trace("\n".join(moved) + "\n")
-        assert [rnd.round for rnd in trace.by_round()] == sorted(rounds)
-        assert trace_to_text(trace) == "\n".join(CLASHING) + "\n"
-
-    def test_a_round_split_by_others_parses_to_the_canonical_trace(self):
-        lines = list(CLASHING)
-        assert CLASHING[2].split(" ")[1] == CLASHING[3].split(" ")[1] == "round=0"
-        lines.insert(-1, lines.pop(2))  # round 0's first event last
-        assert trace_to_text(parse_trace("\n".join(lines))) == "\n".join(CLASHING) + "\n"

@@ -5,11 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import run_par, run_seq, tree_corpus
-from d2color.engine import BroadcastRecord, Round
+from d2color.engine import BroadcastRecord, ClashEvent, Round, StateChange
 from d2color.messages import ColorSeq
 from d2color.scenarios import builtin_topology
 from d2color.topology import (build_topology, generate_random_connected, generate_random_tree,
-                              two_hop)
+                              metrics, two_hop)
 from d2color.verifier import (
     Coloring,
     check_coloring,
@@ -194,3 +194,81 @@ class TestReports:
     def test_coloring_dataclass(self):
         c = Coloring.from_colors({1: 0, 2: 1, 3: 0})
         assert c.palette_size == 2
+
+
+def _check(report, name):
+    return next(b for b in report.bound_checks if b.name == name)
+
+
+def _append_states(trace, states: dict[int, dict], round_: int | None = None):
+    """Forge a round of state records, one per process in states, after the run's last round."""
+    t = trace.kept[-1].round + 1 if round_ is None else round_
+    changes = tuple(StateChange(t, proc, state) for proc, state in states.items())
+    trace.kept.append(Round(t, (), (), (), changes))
+
+
+def _clashing():
+    """A par_tree run whose only clashes are END collisions, exempt under sibling_end_parallel."""
+    topo = generate_random_tree(45, 5, seed=6)
+    return topo, run_par(topo, 1, sibling_end_parallel=True, policy="record_and_corrupt")
+
+
+class TestPlantedFaults:
+    """Each test plants one fault into a real run, and the check that owns it must fail."""
+
+    def test_a_child_colored_above_its_parents_degree(self):
+        topo = builtin_topology("binary15")
+        trace = run_par(topo, 1)
+        assert _check(verify_run(topo, trace), "par_child_color_range").ok
+        finals = fold_rounds(topo, trace).finals
+        child = next(i for i, st in finals.items() if st["parent"] != topo.identity(i))
+        parent = next(j for j in topo.neighbors(child)
+                      if topo.identity(j) == finals[child]["parent"])
+        _append_states(trace, {child: {**finals[child], "color": topo.degree(parent) + 1}})
+        check = _check(verify_run(topo, trace), "par_child_color_range")
+        assert (check.observed, check.ok) == (1, False)
+
+    @pytest.mark.parametrize("late, ok", [(0, True), (1, False)], ids=["at", "after"])
+    def test_par_completion_round_at_and_after_its_bound(self, late, ok):
+        topo, start = builtin_topology("binary15"), 5
+        trace = run_par(topo, 1, start_round=start)
+        mets = metrics(topo, 1)
+        bound = 4 * mets.depth * mets.delta
+        root_final = {**fold_rounds(topo, trace).finals[1], "claimed": True}
+        for ch in trace.changes:  # the run's claim is taken back, and forged at start + bound
+            ch.state["claimed"] = False
+        _append_states(trace, {1: root_final}, start + bound + late)
+        check = _check(verify_run(topo, trace), "par_completion_round")
+        assert (check.limit, check.observed, check.ok) == (bound, bound + late, ok)
+
+    def test_a_failed_clash_recheck_stays_failed(self):
+        topo = generate_random_tree(45, 5, seed=6)
+        trace = run_par(topo, 1)
+        busy = [k for k, rnd in enumerate(trace.kept) if len(rnd.broadcasts) > 1]
+        assert len(busy) > 1 and not trace.clashes
+        assert verify_run(topo, trace).clash_recheck_ok
+        # a collision the broadcasts do not imply, in the first round with two broadcasts
+        rnd = trace.kept[busy[0]]
+        origins = frozenset(rec.origin for rec in rnd.broadcasts)
+        invented = ClashEvent(rnd.round, min(origins), "collision", origins)
+        trace.kept[busy[0]] = rnd._replace(clashes=(invented,))
+        # the later clean rounds with several broadcasts do not clear the failure
+        assert not verify_run(topo, trace).clash_recheck_ok
+
+    def test_a_clashing_round_without_its_clash_records(self):
+        topo, trace = _clashing()
+        assert verify_run(topo, trace).clash_recheck_ok
+        k = next(k for k, rnd in enumerate(trace.kept) if rnd.clashes)
+        assert len(trace.kept[k].broadcasts) > 1
+        trace.kept[k] = trace.kept[k]._replace(clashes=())
+        assert not verify_run(topo, trace).clash_recheck_ok
+
+    def test_end_collisions_count_without_sibling_end_parallel(self):
+        topo, trace = _clashing()
+        clashes = len(trace.clashes)
+        assert clashes and all(rec.message.kind == "END" for rnd in trace.kept if rnd.clashes
+                               for rec in rnd.broadcasts)
+        assert verify_run(topo, trace).clash_events == 0  # every one is exempt
+        trace.meta["sibling_end_parallel"] = False
+        report = verify_run(topo, trace)
+        assert report.clash_events == clashes and not report.ok()
